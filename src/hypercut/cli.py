@@ -8,11 +8,10 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, NumericError
 from .experiments import (
     colored_sampling_experiment,
     records_to_csv,
@@ -32,9 +31,7 @@ from .hypergraph import (
     random_cut_coefficient,
 )
 from .oracle import brute_force_max_kcut
-from .rounding import best_bipartition
-from .solver import SamplePlan, solve_3cut_auto, solve_kcut
-from .spectral import SymmetricMatrix
+from .solver import SamplePlan, solve_kcut
 
 
 def _digest_bytes(data: bytes) -> str:
@@ -72,13 +69,6 @@ def _cmd_solve(args) -> int:
     start = time.perf_counter()
     if args.oracle:
         cut = brute_force_max_kcut(h, k)
-    elif h.r == 2 and k == 2:
-        a = SymmetricMatrix.from_pair_graph(h)
-        bp = best_bipartition(a, seed=args.seed)
-        assign = [0 if s > 0 else 1 for s in bp.x]
-        cut = KCut.from_assignment(h, assign, 2)
-    elif h.r == 3 and k == 3:
-        cut = solve_3cut_auto(h, SamplePlan(trials=args.trials, seed=args.seed))
     else:
         cut = solve_kcut(h, k, SamplePlan(trials=args.trials, seed=args.seed))
     wall = time.perf_counter() - start
@@ -164,7 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--oracle", action="store_true", help="exhaustive scan")
     p_solve.add_argument("--report", help="write a JSON report to this path")
-    p_solve.add_argument("--threads", type=int, default=1, help="reserved; only 1")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
@@ -195,6 +184,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -204,6 +195,9 @@ def main(argv=None) -> int:
         return 2
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
+        return 3
+    except NumericError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 
 

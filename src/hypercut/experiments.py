@@ -175,8 +175,10 @@ def scaling_to_csv(rows: list[ScalingRow]) -> str:
 
 def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
     """Least-squares slope of log(y) against log(x); needs positive data."""
-    xs = np.log([x for x, _ in points])
-    ys = np.log([y for _, y in points])
-    if len(xs) < 2:
+    if len(points) < 2:
         raise InputError("need at least two points to fit a slope")
-    return float(np.polyfit(xs, ys, 1)[0])
+    xy = np.array(points, dtype=float)
+    if not np.all(xy > 0):
+        raise InputError("log-log fit needs positive x and y")
+    logs = np.log(xy)
+    return float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])

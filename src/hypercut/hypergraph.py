@@ -89,13 +89,6 @@ class Hypergraph:
         """Total edge count, multiplicities included."""
         return sum(mult for _, mult in self.edges)
 
-    def multiplicity(self, verts: Sequence[int]) -> int:
-        tup = tuple(sorted(verts))
-        for e, mult in self.edges:
-            if e == tup:
-                return mult
-        return 0
-
 
 @dataclass(frozen=True)
 class ColoredMultigraph:

@@ -21,7 +21,9 @@ def brute_force_max_kcut(h: Hypergraph, k: int) -> KCut:
         raise InputError(f"need k >= 2, got k={k}")
     if h.n == 0:
         return KCut.from_assignment(h, (), k)
-    if k**h.n > CAPACITY:
+    # k >= 2, so n >= bit_length(CAPACITY) alone implies k^n > CAPACITY;
+    # testing n first keeps k^n from being formed for a huge n.
+    if h.n >= CAPACITY.bit_length() or k**h.n > CAPACITY:
         raise CapacityError(
             f"{k}^{h.n} assignments exceed the exhaustive capacity {CAPACITY}"
         )

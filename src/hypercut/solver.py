@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .hypergraph import (
     Hypergraph,
     KCut,
@@ -27,6 +27,10 @@ from .hypergraph import (
 )
 from .rounding import best_bipartition
 from .spectral import SymmetricMatrix
+
+# Largest vertex count solve_kcut accepts: each collapsed pair graph becomes a
+# dense n x n float64 matrix, 800 MB at this bound.
+MAX_VERTICES = 10_000
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,6 @@ class ReducedInstance:
     sampled: frozenset
     rest: tuple[int, ...]  # unsampled vertices, ascending; index = dense id
     pair_graph: Hypergraph  # 2-uniform, on dense ids over rest
-    origins: Mapping[tuple[int, int], tuple[int, ...]]  # dense pair -> edge idx
 
 
 def _subseed(seed: int, tag: int) -> int:
@@ -157,20 +160,17 @@ def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:
     rest = tuple(v for v in range(h.n) if v not in xs)
     relabel = {v: i for i, v in enumerate(rest)}
     pair_mult: dict[tuple[int, int], int] = {}
-    origins: dict[tuple[int, int], list[int]] = {}
-    for idx, (verts, mult) in enumerate(h.edges):
+    for verts, mult in h.edges:
         outside = [v for v in verts if v not in xs]
         if len(outside) == 2:
             u, v = sorted(relabel[w] for w in outside)
             pair_mult[(u, v)] = pair_mult.get((u, v), 0) + mult
-            origins.setdefault((u, v), []).append(idx)
     return ReducedInstance(
         sampled=frozenset(xs),
         rest=rest,
         pair_graph=Hypergraph(
             r=2, n=len(rest), edges=tuple(sorted(pair_mult.items()))
         ),
-        origins={k: tuple(v) for k, v in origins.items()},
     )
 
 
@@ -328,22 +328,27 @@ def _baseline_kcut(h: Hypergraph, k: int, trials: int, seed: int) -> _Best:
 def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
     """k-cuts of r-graphs via the underlying-multigraph chain down to 3-cuts.
 
-    Guarantees follow the chain only for k in {r-1, r} (and k=2 for 3-graphs,
-    where the 2-cut halves the underlying multigraph's cut exactly); other k
-    fall back to the random + local-search baseline and are flagged in notes.
+    Guarantees follow the chain only for k in {r-1, r} (and k=2 for graphs
+    and 3-graphs, where the 2-cut of a 3-graph halves the underlying
+    multigraph's cut exactly); other k fall back to the random + local-search
+    baseline and are flagged in notes.
     """
-    if h.r < 3:
-        raise InputError(f"solve_kcut needs r >= 3, got r={h.r}")
     if k < 2:
         raise InputError(f"need k >= 2, got k={k}")
+    if h.r == 2 and k != 2:
+        raise InputError(f"solve_kcut needs r >= 3 unless k = 2, got r=2, k={k}")
+    if h.n > MAX_VERTICES:
+        raise CapacityError(
+            f"{h.n} vertices exceed the solver's capacity {MAX_VERTICES}"
+        )
     if h.n == 0 or h.m == 0:
         return _trivial_cut(h, k)
     if h.r == 3 and k == 3:
         return solve_3cut_auto(h, plan)
     notes: tuple[str, ...] = ()
     best = _Best()
-    if h.r == 3 and k == 2:
-        pairs = underlying_multigraph(h, 2)
+    if k == 2 and h.r <= 3:
+        pairs = h if h.r == 2 else underlying_multigraph(h, 2)
         a = SymmetricMatrix.from_pair_graph(pairs)
         bp = best_bipartition(a, seed=_subseed(plan.seed, 3))
         ev = _CutEvaluator(h, 2)

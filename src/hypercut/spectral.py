@@ -1,14 +1,12 @@
 """Dense symmetric eigendecomposition, graph energy, and the PSD certificate.
 
-The eigensolver is a threshold cyclic Jacobi iteration: per sweep, every
-off-diagonal entry above ``tol * ||A||_F`` is annihilated by a Givens
-rotation; the iteration stops when none remain.  This is accurate and
-dependency-free for the dense sizes used here (n up to a few hundred).
+The full spectrum comes from LAPACK through ``numpy.linalg.eigh``.  Its
+result is checked before use: the residual ``max |A v_i - lambda_i v_i|``
+must not exceed ``n * tol * max(||A||_F, 1)``, or ``NumericError`` is raised.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +15,6 @@ from .errors import InputError, NumericError
 from .hypergraph import ColoredMultigraph, Hypergraph
 
 DEFAULT_TOL = 1e-10
-SWEEP_CAP = 100
 
 
 class SymmetricMatrix:
@@ -101,60 +98,23 @@ class EigenDecomposition:
         return float(np.max(np.abs(self.eigenvalues)))
 
 
-def _jacobi(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    n = a.shape[0]
-    A = a.copy()
-    V = np.eye(n)
-    fro = float(np.linalg.norm(A))
-    if fro == 0.0 or n < 2:
-        return np.diag(A).copy(), V
-    thr = tol * fro
-    iu = np.triu_indices(n, k=1)
-    for _ in range(SWEEP_CAP):
-        mask = np.abs(A[iu]) > thr
-        if not mask.any():
-            return np.diag(A).copy(), V
-        for p, q in zip(iu[0][mask], iu[1][mask]):
-            apq = A[p, q]
-            if abs(apq) <= thr:
-                continue  # already annihilated earlier in the sweep
-            theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-            t = math.copysign(1.0, theta) / (
-                abs(theta) + math.sqrt(theta * theta + 1.0)
-            )
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            row_p = A[p, :].copy()
-            row_q = A[q, :].copy()
-            A[p, :] = c * row_p - s * row_q
-            A[q, :] = s * row_p + c * row_q
-            col_p = A[:, p].copy()
-            col_q = A[:, q].copy()
-            A[:, p] = c * col_p - s * col_q
-            A[:, q] = s * col_p + c * col_q
-            A[p, q] = 0.0
-            A[q, p] = 0.0
-            vp = V[:, p].copy()
-            vq = V[:, q].copy()
-            V[:, p] = c * vp - s * vq
-            V[:, q] = s * vp + c * vq
-    off = float(np.linalg.norm(A[iu]))
-    raise NumericError(
-        f"Jacobi did not converge within {SWEEP_CAP} sweeps; "
-        f"off-diagonal norm {off:.3e} (target {thr:.3e})"
-    )
-
-
 def eigen_decompose(a: SymmetricMatrix, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     if a.n < 1:
         raise InputError("matrix must have dimension >= 1")
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
-    values, vectors = _jacobi(a.a, tol)
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
+    try:
+        ascending, vectors = np.linalg.eigh(a.a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"LAPACK eigh failed: {exc}") from exc
+    values = ascending[::-1]
+    vectors = vectors[:, ::-1]
     residual = float(np.max(np.abs(a.a @ vectors - vectors * values), initial=0.0))
+    bound = a.n * tol * max(float(np.linalg.norm(a.a)), 1.0)
+    if residual > bound:
+        raise NumericError(
+            f"eigendecomposition residual {residual:.3e} exceeds {bound:.3e}"
+        )
     return EigenDecomposition(
         eigenvalues=values, vectors=vectors, residual=residual, tol=tol
     )

@@ -1,7 +1,9 @@
 """In-process tests of the command-line interface."""
 
 import json
+import time
 
+import numpy as np
 import pytest
 
 from hypercut import degree_profile, load_hypergraph
@@ -169,6 +171,51 @@ class TestSolve:
         )
         assert code == 3
         assert "capacity" in err
+
+    def test_numeric_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "k5.txt"
+        run(
+            ["gen", "--kind", "complete", "--r", "2", "--n", "5",
+             "--out", str(path)],
+            capsys,
+        )
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, _, err = run(["solve", "--file", str(path), "--k", "2"], capsys)
+        assert code == 3
+        assert "numeric error" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--oracle"]])
+    def test_huge_vertex_count_exit_3_fast(self, tmp_path, capsys, extra):
+        path = tmp_path / "huge.txt"
+        path.write_text("3 100000000000\n0 1 2\n")
+        start = time.perf_counter()
+        code, _, err = run(
+            ["solve", "--file", str(path), "--k", "3", *extra], capsys
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "capacity" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--file", "h.txt", "--k", "3"],
+        ["gen", "--kind", "complete", "--n", "4", "--out", "g.txt"],
+        ["experiment", "--kind", "scaling", "--sizes", "6", "--reps", "1",
+         "--out", "s.csv"],
+    ],
+)
+def test_negative_seed_exit_2(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.txt").write_text("3 3\n0 1 2\n")
+    code, _, err = run([*args, "--seed", "-1"], capsys)
+    assert code == 2
+    assert "--seed" in err
 
 
 class TestExperiment:

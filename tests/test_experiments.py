@@ -130,6 +130,13 @@ class TestSlopeFit:
         pts = [(x, 3.5 * x**0.75) for x in (10.0, 20.0, 40.0, 80.0)]
         assert fit_loglog_slope(pts) == pytest.approx(0.75, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "pts", [[(0.0, 1.0), (2.0, 3.0)], [(1.0, 2.0), (2.0, -3.0)]]
+    )
+    def test_rejects_non_positive(self, pts):
+        with pytest.raises(InputError):
+            fit_loglog_slope(pts)
+
     def test_needs_two_points(self):
         with pytest.raises(InputError):
             fit_loglog_slope([(1.0, 1.0)])

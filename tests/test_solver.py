@@ -33,7 +33,6 @@ class TestSampleAndReduce:
         red = sample_and_reduce(TRIPLE, {2})
         assert red.rest == (0, 1)
         assert red.pair_graph.edges == (((0, 1), 1),)
-        assert red.origins[(0, 1)] == (0,)
 
     def test_two_sampled_vertices_drop_edge(self):
         red = sample_and_reduce(TRIPLE, {1, 2})
@@ -246,4 +245,4 @@ class TestSolveKCut:
 
     def test_rejects_small_r(self):
         with pytest.raises(InputError):
-            solve_kcut(gen_complete(2, 4), 2, SamplePlan())
+            solve_kcut(gen_complete(2, 4), 3, SamplePlan())

@@ -3,6 +3,7 @@ import pytest
 
 from hypercut import (
     InputError,
+    NumericError,
     SymmetricMatrix,
     eigen_decompose,
     energy,
@@ -69,6 +70,14 @@ class TestEigenDecompose:
         assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-8
         assert dec.residual <= n * dec.tol * max(fro, 1.0)
         assert abs(lam.sum() - np.trace(a.a)) <= n * 1e-8 * max(fro, 1.0)
+
+    def test_residual_over_bound_raises(self, monkeypatch):
+        # a "decomposition" claiming A = 0 misses A v = lambda v by 1
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a: (np.zeros(len(a)), np.eye(len(a)))
+        )
+        with pytest.raises(NumericError, match="residual"):
+            eigen_decompose(ONE_EDGE)
 
     def test_sorted_descending(self):
         lam = eigen_decompose(random_symmetric(12, seed=0)).eigenvalues
