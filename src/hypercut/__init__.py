@@ -26,6 +26,7 @@ from .hypergraph import (
     KCut,
     colored_pair_graph,
     cut_size,
+    cut_values,
     degree_profile,
     dump_hypergraph,
     format_hypergraph,

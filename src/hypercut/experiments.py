@@ -12,7 +12,7 @@ from .errors import InputError
 from .generators import gen_random_3graph
 from .hypergraph import ColoredMultigraph
 from .solver import SamplePlan, solve_3cut_auto
-from .spectral import SymmetricMatrix, eigen_decompose
+from .spectral import SymmetricMatrix, adjacency, eigen_decompose
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class ExperimentRecord:
     energy_dev: float  # energy of pA - B
     threshold: float  # 20 * ln(m) * sqrt(max_degree * color_degree_bound)
     passed: bool
-    walk_norm: float | None = None  # spectral norm of p * sum_i A_i^2, optional
 
 
 RECORD_COLUMNS = (
@@ -51,7 +50,6 @@ def colored_sampling_experiment(
     p: float,
     reps: int,
     seed: int,
-    include_walk_norm: bool = False,
 ) -> list[ExperimentRecord]:
     """Sample color classes with probability p and measure how far the sampled
     adjacency B strays from its expectation pA, against the concentration
@@ -61,30 +59,16 @@ def colored_sampling_experiment(
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}")
     a = SymmetricMatrix.from_colored(g).a
-    colors = g.colors()
-    by_color: dict[int, np.ndarray] = {}
-    for u, v, c, mult in g.edges:
-        mat = by_color.setdefault(c, np.zeros((g.n, g.n)))
-        mat[u, v] += mult
-        mat[v, u] += mult
+    colors, color_of_edge = np.unique(g.edges[:, 2], return_inverse=True)
     delta = g.max_degree()
     dcol = g.max_color_degree()
     m = g.m
     threshold = 20.0 * math.log(m) * math.sqrt(delta * dcol) if m >= 1 else 0.0
-    walk_norm = None
-    if include_walk_norm and colors:
-        w = p * sum(mat @ mat for mat in by_color.values())
-        walk_norm = float(
-            np.max(np.abs(eigen_decompose(SymmetricMatrix((w + w.T) / 2)).eigenvalues))
-        )
     rng = np.random.default_rng(seed)
     records = []
     for rep in range(reps):
-        chosen = rng.random(len(colors)) < p
-        b = np.zeros((g.n, g.n))
-        for c, flag in zip(colors, chosen):
-            if flag:
-                b += by_color[c]
+        chosen = (rng.random(len(colors)) < p)[color_of_edge]
+        b = adjacency(g.n, g.edges[chosen, :2], g.mult[chosen])
         dev = p * a - b
         dec = eigen_decompose(SymmetricMatrix((dev + dev.T) / 2))
         norm_dev = dec.spectral_radius
@@ -101,7 +85,6 @@ def colored_sampling_experiment(
                 energy_dev=energy_dev,
                 threshold=threshold,
                 passed=norm_dev <= threshold,
-                walk_norm=walk_norm,
             )
         )
     return records

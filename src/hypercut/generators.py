@@ -9,8 +9,35 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .hypergraph import Hypergraph
+
+# Largest number of potential edges C(n, r) a generator enumerates.
+MAX_CANDIDATES = 10**8
+
+
+def _candidates(r: int, n: int) -> int:
+    """C(n, r), once it is known to be within MAX_CANDIDATES."""
+    if r < 2 or n < 0:
+        raise InputError(f"need r >= 2 and n >= 0, got r={r}, n={n}")
+    total = math.comb(n, r)
+    if total > MAX_CANDIDATES:
+        raise CapacityError(
+            f"C({n}, {r}) = {total} potential edges exceed {MAX_CANDIDATES}"
+        )
+    return total
+
+
+def _combinations(r: int, n: int, keep: np.ndarray | None = None) -> Hypergraph:
+    """The r-subsets of range(n) in lexicographic order, each an edge of
+    multiplicity 1; only those flagged in ``keep`` when it is given."""
+    count = _candidates(r, n)
+    combos = itertools.combinations(range(n), r)
+    if keep is not None:
+        combos, count = itertools.compress(combos, keep), int(keep.sum())
+    flat = itertools.chain.from_iterable(combos)
+    rows = np.fromiter(flat, dtype=np.intp, count=count * r).reshape(count, r)
+    return Hypergraph(r, n, rows, np.ones(count, dtype=np.int64))
 
 
 def gen_random_uniform(r: int, n: int, p: float, seed: int) -> Hypergraph:
@@ -18,12 +45,8 @@ def gen_random_uniform(r: int, n: int, p: float, seed: int) -> Hypergraph:
     probability p; deterministic given the seed."""
     if not (0.0 <= p <= 1.0):
         raise InputError(f"probability must be in [0,1], got {p}")
-    rng = np.random.default_rng(seed)
-    combos = list(itertools.combinations(range(n), r))
-    keep = rng.random(len(combos)) < p
-    return Hypergraph.from_edges(
-        r, n, [c for c, flag in zip(combos, keep) if flag]
-    )
+    keep = np.random.default_rng(seed).random(_candidates(r, n)) < p
+    return _combinations(r, n, keep)
 
 
 def gen_random_3graph(n: int, p: float, seed: int) -> Hypergraph:
@@ -66,7 +89,7 @@ def gen_random_linear_3graph(
 def gen_complete(r: int, n: int) -> Hypergraph:
     if n < r:
         raise InputError(f"complete {r}-graph needs n >= r, got n={n}")
-    return Hypergraph.from_edges(r, n, itertools.combinations(range(n), r))
+    return _combinations(r, n)
 
 
 def edwards_bound(m: int):

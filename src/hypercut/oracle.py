@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .hypergraph import Hypergraph, KCut
+from .hypergraph import Hypergraph, KCut, cut_values
 
 CAPACITY = 10**8
-_CHUNK = 1 << 15
+# Cells gathered per chunk (assignments x edges x r): bounds the chunk's memory.
+_CELLS = 1 << 19
 
 
 def brute_force_max_kcut(h: Hypergraph, k: int) -> KCut:
@@ -27,35 +28,16 @@ def brute_force_max_kcut(h: Hypergraph, k: int) -> KCut:
         raise CapacityError(
             f"{k}^{h.n} assignments exceed the exhaustive capacity {CAPACITY}"
         )
-    free = h.n - 1
-    total = k**free
-    verts = np.array([v for v, _ in h.edges], dtype=np.intp).reshape(
-        len(h.edges), h.r
-    )
-    mult = np.array([m for _, m in h.edges], dtype=np.int64)
-    powers = k ** np.arange(free - 1, -1, -1, dtype=np.int64) if free else None
-    best_val = -1
-    best_assign: np.ndarray | None = None
-    for start in range(0, max(total, 1), _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        chunk = len(codes)
-        assigns = np.zeros((chunk, h.n), dtype=np.intp)
-        if free:
-            assigns[:, 1:] = (codes[:, None] // powers) % k
-        if len(mult) == 0:
-            vals = np.zeros(chunk, dtype=np.int64)
-        else:
-            vals = np.zeros(chunk, dtype=np.int64)
-            for e in range(len(mult)):
-                parts = assigns[:, verts[e]]
-                flag = np.ones(chunk, dtype=bool)
-                for p in range(k):
-                    flag &= (parts == p).any(axis=1)
-                vals += mult[e] * flag
-        top = int(vals.max(initial=0))
-        if top > best_val:
-            idx = int(np.argmax(vals))  # first occurrence = lexicographic min
-            best_val = top
-            best_assign = assigns[idx].copy()
-    assert best_assign is not None
+    total = k ** (h.n - 1)
+    powers = k ** np.arange(h.n - 2, -1, -1, dtype=np.int64)
+    chunk = max(1, _CELLS // max(h.edges.size, h.n))
+    best_val, best_assign = -1, None
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        assigns = np.zeros((len(codes), h.n), dtype=np.intp)
+        assigns[:, 1:] = (codes[:, None] // powers) % k
+        vals = cut_values(h, assigns, k)
+        idx = int(np.argmax(vals))  # first occurrence = lexicographic min
+        if vals[idx] > best_val:
+            best_val, best_assign = int(vals[idx]), assigns[idx]
     return KCut.from_assignment(h, best_assign, k)

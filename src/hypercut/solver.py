@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,6 +20,7 @@ from .errors import CapacityError, InputError
 from .hypergraph import (
     Hypergraph,
     KCut,
+    cut_values,
     degree_profile,
     induced_sub,
     underlying_multigraph,
@@ -50,7 +50,6 @@ class SamplePlan:
 class ReducedInstance:
     """Result of collapsing hyperedges with one sampled vertex onto pairs."""
 
-    sampled: frozenset
     rest: tuple[int, ...]  # unsampled vertices, ascending; index = dense id
     pair_graph: Hypergraph  # 2-uniform, on dense ids over rest
 
@@ -66,39 +65,22 @@ class _CutEvaluator:
     def __init__(self, h: Hypergraph, k: int) -> None:
         self.h = h
         self.k = k
-        self.verts = np.array(
-            [verts for verts, _ in h.edges], dtype=np.intp
-        ).reshape(len(h.edges), h.r)
-        self.w = np.array([mult for _, mult in h.edges], dtype=np.int64)
-        inc: list[list[int]] = [[] for _ in range(h.n)]
-        for idx, (verts, _) in enumerate(h.edges):
-            for v in verts:
-                inc[v].append(idx)
-        self.inc = [np.array(lst, dtype=np.intp) for lst in inc]
+        # inc[v]: ascending indices of the edges that contain v
+        by_vertex = np.argsort(h.edges.ravel(), kind="stable") // h.r
+        ends = np.cumsum(np.bincount(h.edges.ravel(), minlength=h.n))
+        self.inc = np.split(by_vertex, ends[:-1])
 
     def value(self, assign: np.ndarray) -> int:
-        if self.k > self.h.r or len(self.w) == 0:
-            return 0
-        parts = assign[self.verts]
-        flag = np.ones(len(self.w), dtype=bool)
-        for p in range(self.k):
-            flag &= (parts == p).any(axis=1)
-        return int(self.w[flag].sum())
-
-    def _counts(self, assign: np.ndarray) -> np.ndarray:
-        c = np.zeros((len(self.w), self.k), dtype=np.int64)
-        parts = assign[self.verts]
-        rows = np.arange(len(self.w))
-        for col in range(self.h.r):
-            np.add.at(c, (rows, parts[:, col]), 1)
-        return c
+        return int(cut_values(self.h, assign, self.k))
 
     def local_search(self, assign: Sequence[int]) -> np.ndarray:
         """First-improvement moves over (vertex, target part), cyclic order."""
         a = np.array(assign, dtype=np.intp)
-        if len(self.w) == 0 or self.k > self.h.r:
+        w = self.h.mult
+        if len(w) == 0 or self.k > self.h.r:
             return a
-        counts = self._counts(a)
+        counts = np.zeros((len(w), self.k), dtype=np.int64)  # edge x part
+        np.add.at(counts, (np.arange(len(w))[:, None], a[self.h.edges]), 1)
         flags = (counts > 0).all(axis=1)
         improved = True
         while improved:
@@ -115,9 +97,7 @@ class _CutEvaluator:
                     sub[:, cur] -= 1
                     sub[:, b] += 1
                     after = (sub > 0).all(axis=1)
-                    delta = int(
-                        self.w[edges] @ (after.astype(np.int64) - flags[edges])
-                    )
+                    delta = int(w[edges] @ (after.astype(np.int64) - flags[edges]))
                     if delta > 0:
                         counts[edges] = sub
                         flags[edges] = after
@@ -154,23 +134,19 @@ def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:
     so that e_H(X, Y, Z) = e_{G*}(Y, Z) for every bipartition (Y, Z) of the rest."""
     if h.r != 3:
         raise InputError(f"sampling reduction needs r=3, got r={h.r}")
-    xs = set(int(v) for v in x)
-    if xs and (min(xs) < 0 or max(xs) >= h.n):
+    xs = np.fromiter(x, dtype=np.int64)
+    if len(xs) and (xs.min() < 0 or xs.max() >= h.n):
         raise InputError(f"sampled set leaves the vertex range [0, {h.n})")
-    rest = tuple(v for v in range(h.n) if v not in xs)
-    relabel = {v: i for i, v in enumerate(rest)}
-    pair_mult: dict[tuple[int, int], int] = {}
-    for verts, mult in h.edges:
-        outside = [v for v in verts if v not in xs]
-        if len(outside) == 2:
-            u, v = sorted(relabel[w] for w in outside)
-            pair_mult[(u, v)] = pair_mult.get((u, v), 0) + mult
+    sampled = np.zeros(h.n, dtype=bool)
+    sampled[xs] = True
+    rest = np.flatnonzero(~sampled)
+    relabel = np.cumsum(~sampled) - 1
+    inside = sampled[h.edges]
+    one = inside.sum(axis=1) == 1
+    pairs = relabel[h.edges[one][~inside[one]]].reshape(-1, 2)
     return ReducedInstance(
-        sampled=frozenset(xs),
-        rest=rest,
-        pair_graph=Hypergraph(
-            r=2, n=len(rest), edges=tuple(sorted(pair_mult.items()))
-        ),
+        rest=tuple(rest.tolist()),
+        pair_graph=Hypergraph(2, len(rest), pairs, h.mult[one]),
     )
 
 
@@ -194,9 +170,8 @@ def solve_3cut(h: Hypergraph, plan: SamplePlan) -> KCut:
     children = np.random.SeedSequence(plan.seed).spawn(plan.trials + n_base + 1)
     for t in range(plan.trials):
         rng = np.random.default_rng(children[t])
-        mask = rng.random(h.n) < plan.p
-        sampled = np.flatnonzero(mask)
-        red = sample_and_reduce(h, sampled.tolist())
+        sampled = np.flatnonzero(rng.random(h.n) < plan.p)
+        red = sample_and_reduce(h, sampled)
         assign = np.full(h.n, 1, dtype=np.intp)
         assign[sampled] = 0
         if red.pair_graph.m > 0:
@@ -238,24 +213,22 @@ def preprocess_heavy(
         delta = max(1, math.ceil(m ** 0.6)) if m else 1
     if d < 1 or delta < 1:
         raise InputError("thresholds must be >= 1")
-    pairs = underlying_multigraph(h, 2) if m else Hypergraph(2, h.n, ())
-    deg: dict[int, int] = {}
-    for (u, v), mult in pairs.edges:
-        deg[u] = deg.get(u, 0) + mult
-        deg[v] = deg.get(v, 0) + mult
+    pairs = underlying_multigraph(h, 2)
+    deg = np.zeros(h.n, dtype=np.int64)
+    np.add.at(deg, pairs.edges, pairs.mult[:, None])
     matched: set[int] = set()
-    for (u, v), mult in pairs.edges:  # sorted order -> deterministic matching
-        if mult >= d and u not in matched and v not in matched:
-            matched.add(u)
-            matched.add(v)
-    high = {v for v, dv in deg.items() if dv > delta}
-    w = tuple(v for v in range(h.n) if v not in matched and v not in high)
+    for u, v in pairs.edges[pairs.mult >= d].tolist():  # lexicographic -> deterministic
+        if u not in matched and v not in matched:
+            matched.update((u, v))
+    keep = deg <= delta
+    keep[list(matched)] = False
+    w = tuple(np.flatnonzero(keep).tolist())
     sub, _ = induced_sub(h, w)
     report = {
         "d": d,
         "delta": delta,
         "matching_vertices": len(matched),
-        "high_degree_vertices": len(high),
+        "high_degree_vertices": int((deg > delta).sum()),
         "kept_vertices": len(w),
         "kept_edges": sub.m,
         "kept_profile": degree_profile(sub),
@@ -281,8 +254,7 @@ def solve_3cut_auto(h: Hypergraph, plan: SamplePlan) -> KCut:
         part = solve_3cut(sub, sub_plan)
         rng = np.random.default_rng(_subseed(plan.seed, 2))
         assign = rng.integers(0, 3, size=h.n).astype(np.intp)
-        for dense, orig in enumerate(ids):
-            assign[orig] = part.assignment[dense]
+        assign[list(ids)] = part.assignment
         ev = _CutEvaluator(h, 3)
         assign = ev.local_search(assign)
         best.offer(ev.value(assign), assign)

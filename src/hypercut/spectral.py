@@ -17,6 +17,15 @@ from .hypergraph import ColoredMultigraph, Hypergraph
 DEFAULT_TOL = 1e-10
 
 
+def adjacency(n: int, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Dense n x n float adjacency: each (u, v) row adds its weight to
+    A(u, v) and A(v, u)."""
+    a = np.zeros((n, n))
+    np.add.at(a, (pairs[:, 0], pairs[:, 1]), weights)
+    np.add.at(a, (pairs[:, 1], pairs[:, 0]), weights)
+    return a
+
+
 class SymmetricMatrix:
     """Dense real symmetric matrix; entries are read-only after construction."""
 
@@ -47,20 +56,12 @@ class SymmetricMatrix:
         A(u,v) = edge multiplicity."""
         if h.r != 2:
             raise InputError(f"adjacency matrix needs r=2, got r={h.r}")
-        a = np.zeros((h.n, h.n))
-        for (u, v), mult in h.edges:
-            a[u, v] += mult
-            a[v, u] += mult
-        return cls(a)
+        return cls(adjacency(h.n, h.edges, h.mult))
 
     @classmethod
     def from_colored(cls, g: ColoredMultigraph) -> "SymmetricMatrix":
         """Adjacency of a colored multigraph, colors summed out."""
-        a = np.zeros((g.n, g.n))
-        for u, v, _, mult in g.edges:
-            a[u, v] += mult
-            a[v, u] += mult
-        return cls(a)
+        return cls(adjacency(g.n, g.edges[:, :2], g.mult))
 
     def to_text(self) -> str:
         return (

@@ -202,6 +202,50 @@ class TestSolve:
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "3 3\n0 1 2 9223372036854775808\n",  # does not fit in int64
+        "3 3\n0 1 2 9223372036854775807\n0 1 2 5\n",  # the merge would wrap
+        "3 4\n0 1 2 9007199254740992\n0 1 3\n",  # m = 2^53 + 1
+    ],
+)
+@pytest.mark.parametrize("extra", [["--k", "2"], ["--k", "3"], ["--k", "3", "--oracle"]])
+def test_oversized_multiplicity_exit_2(tmp_path, capsys, text, extra):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, _, err = run(["solve", "--file", str(path), *extra], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "input error" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "--kind", "random3", "--n", "3000", "--p", "0.001"],
+        ["gen", "--kind", "complete", "--r", "3", "--n", "3000"],
+        ["experiment", "--kind", "concentration", "--n", "3000"],
+    ],
+)
+def test_generator_size_cap_exit_3_fast(tmp_path, capsys, args):
+    start = time.perf_counter()
+    code, _, err = run([*args, "--out", str(tmp_path / "out")], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "capacity" in err
+
+
+def test_negative_uniformity_exit_2(tmp_path, capsys):
+    code, _, err = run(
+        ["gen", "--kind", "complete", "--r", "-1", "--n", "4", "--out", str(tmp_path / "g")],
+        capsys,
+    )
+    assert code == 2
+    assert "input error" in err
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["solve", "--file", "h.txt", "--k", "3"],

@@ -65,17 +65,6 @@ class TestColoredSampling:
         for r in recs:
             assert r.norm_dev == pytest.approx(1e-6 * radius, rel=1e-6)
 
-    def test_walk_norm_optional(self):
-        g = _colored()
-        without = colored_sampling_experiment(g, 0.3, reps=1, seed=0)
-        with_walk = colored_sampling_experiment(
-            g, 0.3, reps=1, seed=0, include_walk_norm=True
-        )
-        assert without[0].walk_norm is None
-        assert with_walk[0].walk_norm is not None and with_walk[0].walk_norm > 0
-        # The measured deviations are unaffected by the extra measurement.
-        assert with_walk[0].norm_dev == without[0].norm_dev
-
     def test_rejects_bad_parameters(self):
         g = _colored()
         with pytest.raises(InputError):

@@ -111,7 +111,7 @@ class TestRandomUniform:
         assert a == b
 
     def test_seeds_differ(self):
-        draws = {gen_random_uniform(3, 10, 0.4, s).edges for s in range(5)}
+        draws = {gen_random_uniform(3, 10, 0.4, s).edges.tobytes() for s in range(5)}
         assert len(draws) > 1
 
     def test_edge_probability_extremes(self):
