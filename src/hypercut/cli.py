@@ -126,7 +126,12 @@ def _cmd_experiment(args) -> int:
             f"reps={args.reps} pass_rate={rate:.3f} -> {args.out}"
         )
     elif args.kind == "scaling":
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+        try:
+            sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+        except ValueError:
+            raise InputError(
+                f"--sizes must be comma-separated integers, got {args.sizes!r}"
+            ) from None
         rows = surplus_scaling_study(
             sizes, reps=args.reps, seed=args.seed, trials=args.trials
         )

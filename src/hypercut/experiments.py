@@ -124,6 +124,10 @@ def surplus_scaling_study(
     """For each n: draw a random 3-graph with p = 1/n, solve it, and record the
     achieved surplus.  ``trials`` is the solver's sampling budget per run;
     exponent fitting is left to post-processing (see fit_loglog_slope)."""
+    if not sizes or min(sizes) < 1:
+        raise InputError(f"sizes must be a nonempty list of integers >= 1, got {sizes}")
+    if reps < 1:
+        raise InputError(f"reps must be >= 1, got {reps}")
     rows: list[ScalingRow] = []
     ss = np.random.SeedSequence(seed)
     for n in sizes:

@@ -22,9 +22,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 
 MAX_EDGES = 2**53
+# Largest uniformity accepted.  A surplus is exact, with a denominator that
+# divides k^r for some k <= r, and Python prints at most 4,300 digits of an
+# int; 1000^1000 has 3,001.  Past r it is only r-sized work (k^r, (d, r)
+# arrays) on a graph that still needs r distinct vertices to hold an edge.
+MAX_UNIFORMITY = 1_000
 
 
 def stirling2(r: int, k: int) -> int:
@@ -106,6 +111,10 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if self.r < 2:
             raise InputError(f"uniformity must be >= 2, got {self.r}")
+        if self.r > MAX_UNIFORMITY:
+            raise CapacityError(
+                f"uniformity {self.r} exceeds the capacity {MAX_UNIFORMITY}"
+            )
         if self.n < 0:
             raise InputError(f"vertex count must be >= 0, got {self.n}")
         _canonicalise(self, self.r, self.r)
@@ -308,34 +317,74 @@ def format_hypergraph(h: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Edge lines converted per np.array call: large enough that numpy, not the
+# Python loop, parses the tokens, small enough that one chunk's token lists
+# stay a small share of the parsed arrays.
+_CHUNK_LINES = 4096
+
+
+def _line_ints(raw: str, lineno: int) -> list[int]:
+    """The integers on one line, '#' comments stripped."""
+    try:
+        return list(map(int, raw.partition("#")[0].split()))
+    except ValueError as exc:
+        raise InputError(f"line {lineno}: not an integer list: {raw!r}") from exc
+
+
+def _edge_chunk(lines: list[str], lineno: int, r: int):
+    """(vertex rows, multiplicities) of the edge lines ``lines``, the first of
+    which is line ``lineno``; None when they hold no edge."""
+    tokens = [raw.partition("#")[0].split() for raw in lines]
+    fields = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
+    try:
+        vals = np.array(list(itertools.chain.from_iterable(tokens)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        vals = None
+    used = np.flatnonzero(fields)
+    if vals is None or not np.isin(fields[used], (r, r + 1)).all():
+        # Raise the first bad line's error, checking in file order.
+        rows = []
+        for i, raw in enumerate(lines):
+            nums = _line_ints(raw, lineno + i)
+            if not nums:
+                continue
+            if len(nums) not in (r, r + 1):
+                raise InputError(
+                    f"line {lineno + i}: expected {r} vertices with optional "
+                    f"multiplicity, got {len(nums)} fields"
+                )
+            rows.append(nums)
+        # Every line is well formed, so some value lies outside int64: keep
+        # the Python ints for the constructor to report after the later lines.
+        return (np.array([row[:r] for row in rows], dtype=object),
+                np.array([row[r] if len(row) > r else 1 for row in rows], dtype=object))
+    if len(used) == 0:
+        return None
+    starts = (np.cumsum(fields) - fields)[used]
+    mult = np.ones(len(used), dtype=np.int64)
+    has_mult = fields[used] > r
+    mult[has_mult] = vals[starts[has_mult] + r]
+    return vals[starts[:, None] + np.arange(r)], mult
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
-    header: tuple[int, int] | None = None
-    rows: list[list[int]] = []
-    mult: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        try:
-            nums = list(map(int, tokens))
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: not an integer list: {raw!r}") from exc
-        if header is None:
-            if len(nums) != 2:
-                raise InputError(f"line {lineno}: header must be 'r n'")
-            header = (nums[0], nums[1])
-            continue
-        r = header[0]
-        if len(nums) not in (r, r + 1):
-            raise InputError(
-                f"line {lineno}: expected {r} vertices with optional "
-                f"multiplicity, got {len(nums)} fields"
-            )
-        rows.append(nums[:r])
-        mult.append(nums[r] if len(nums) > r else 1)
-    if header is None:
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        header = _line_ints(raw, lineno)
+        if header:
+            break
+    else:
         raise InputError("empty input: missing 'r n' header line")
-    return Hypergraph(header[0], header[1], rows, mult)
+    if len(header) != 2:
+        raise InputError(f"line {lineno}: header must be 'r n'")
+    r, n = header
+    chunks = [
+        chunk
+        for i in range(lineno, len(lines), _CHUNK_LINES)
+        if (chunk := _edge_chunk(lines[i:i + _CHUNK_LINES], i + 1, r)) is not None
+    ]
+    rows, mult = (np.concatenate(part) for part in zip(*chunks)) if chunks else ([], [])
+    return Hypergraph(r, n, rows, mult)
 
 
 def load_hypergraph(path) -> Hypergraph:

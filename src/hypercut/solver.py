@@ -74,37 +74,54 @@ class _CutEvaluator:
         return int(cut_values(self.h, assign, self.k))
 
     def local_search(self, assign: Sequence[int]) -> np.ndarray:
-        """First-improvement moves over (vertex, target part), cyclic order."""
+        """First-improvement moves over (vertex, target part): the next move is
+        the first vertex at or after the last one moved (cyclically) that has
+        an improving part, to the lowest such part; stops at a local optimum.
+
+        Moving v to part b gains win[v, b] - loss[v]: loss[v] weighs the cut
+        edges in which v is alone in its part, win[v, b] the edges that miss
+        only part b and in which v is not alone.  A move changes the part
+        counts of v's edges only, so only their terms are recounted.
+        """
         a = np.array(assign, dtype=np.intp)
-        w = self.h.mult
-        if len(w) == 0 or self.k > self.h.r:
+        h, k = self.h, self.k
+        d = len(h.mult)
+        if d == 0 or k > h.r:
             return a
-        counts = np.zeros((len(w), self.k), dtype=np.int64)  # edge x part
-        np.add.at(counts, (np.arange(len(w))[:, None], a[self.h.edges]), 1)
-        flags = (counts > 0).all(axis=1)
-        improved = True
-        while improved:
-            improved = False
-            for v in range(self.h.n):
-                edges = self.inc[v]
-                if len(edges) == 0:
-                    continue
-                cur = a[v]
-                for b in range(self.k):
-                    if b == cur:
-                        continue
-                    sub = counts[edges].copy()
-                    sub[:, cur] -= 1
-                    sub[:, b] += 1
-                    after = (sub > 0).all(axis=1)
-                    delta = int(w[edges] @ (after.astype(np.int64) - flags[edges]))
-                    if delta > 0:
-                        counts[edges] = sub
-                        flags[edges] = after
-                        a[v] = b
-                        improved = True
-                        break
-        return a
+        parts = a[h.edges]
+        counts = np.bincount((parts + k * np.arange(d)[:, None]).ravel(), minlength=d * k)
+        counts = counts.reshape(d, k)  # edge x part
+        win = np.zeros((h.n, k), dtype=np.int64)
+        loss = np.zeros(h.n, dtype=np.int64)
+        self._tally(h.edges, parts, counts, h.mult, win, loss)
+        cursor = 0
+        while True:
+            movable = np.flatnonzero((win > loss[:, None]).any(axis=1))
+            if len(movable) == 0:
+                return a
+            v = movable[np.searchsorted(movable, cursor) % len(movable)]
+            b = int(np.argmax(win[v] > loss[v]))
+            edges = self.inc[v]
+            rows, w, c = h.edges[edges], h.mult[edges], counts[edges]
+            self._tally(rows, a[rows], c, -w, win, loss)
+            c[:, a[v]] -= 1
+            c[:, b] += 1
+            counts[edges] = c
+            a[v] = b
+            self._tally(rows, a[rows], c, w, win, loss)
+            cursor = v + 1
+
+    @staticmethod
+    def _tally(rows, parts, c, w, win, loss) -> None:
+        """Add the move-gain terms of the edges ``rows`` (vertex parts
+        ``parts``, part counts ``c``, weights ``w``) to win and loss."""
+        alone = np.take_along_axis(c, parts, axis=1) == 1
+        missing = (c == 0).sum(axis=1)[:, None]
+        e, j = np.nonzero(alone & (missing == 0))
+        np.add.at(loss, rows[e, j], w[e])
+        e, j = np.nonzero(~alone & (missing == 1))
+        # the one missing part is the first zero count, argmin of the row
+        np.add.at(win.reshape(-1), rows[e, j] * win.shape[1] + c.argmin(axis=1)[e], w[e])
 
 
 def kway_local_search(h: Hypergraph, assignment: Sequence[int], k: int) -> tuple[int, ...]:

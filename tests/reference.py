@@ -1,5 +1,8 @@
-"""Pure-Python reference for the array code: a dict merge and a set-of-parts
-cut counter.  Edges are lists of (vertex tuple, multiplicity) pairs."""
+"""Pure-Python reference for the array code: a dict merge, a set-of-parts
+cut counter, the k-way probe search and the line-by-line text parser.  Edges
+are lists of (vertex tuple, multiplicity) pairs."""
+
+from hypercut import Hypergraph, InputError
 
 
 def ref_merge(items, key=lambda verts: tuple(sorted(verts))):
@@ -18,3 +21,48 @@ def ref_cut(edges, assign, k):
 def as_items(g):
     """The (vertex tuple, multiplicity) pairs of a Hypergraph or ColoredMultigraph."""
     return list(zip(map(tuple, g.edges.tolist()), g.mult.tolist()))
+
+
+def ref_local_search(edges, n, assign, k):
+    """Probe every (vertex, part) move in cyclic vertex order, lowest part
+    first; take the first that raises the cut; stop after a pass with none."""
+    a = list(assign)
+    improved = True
+    while improved:
+        improved = False
+        for v in range(n):
+            for b in range(k):
+                moved = a[:v] + [b] + a[v + 1:]
+                if b != a[v] and ref_cut(edges, moved, k) > ref_cut(edges, a, k):
+                    a, improved = moved, True
+                    break
+    return a
+
+
+def ref_parse(text):
+    """The text format read one line at a time with ``int`` on every token."""
+    header, rows, mult = None, [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        try:
+            nums = list(map(int, tokens))
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: not an integer list: {raw!r}") from exc
+        if header is None:
+            if len(nums) != 2:
+                raise InputError(f"line {lineno}: header must be 'r n'")
+            header = (nums[0], nums[1])
+            continue
+        r = header[0]
+        if len(nums) not in (r, r + 1):
+            raise InputError(
+                f"line {lineno}: expected {r} vertices with optional "
+                f"multiplicity, got {len(nums)} fields"
+            )
+        rows.append(nums[:r])
+        mult.append(nums[r] if len(nums) > r else 1)
+    if header is None:
+        raise InputError("empty input: missing 'r n' header line")
+    return Hypergraph(header[0], header[1], rows, mult)

@@ -1,7 +1,9 @@
 """In-process tests of the command-line interface."""
 
 import json
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -202,6 +204,33 @@ class TestSolve:
 
 
 @pytest.mark.parametrize(
+    "header", ["3000000000 5", "9223372036854775807 5", "99999999999999999999999 5"]
+)
+@pytest.mark.parametrize("extra", [[], ["--oracle"]])
+def test_huge_uniformity_exit_3_fast(tmp_path, capsys, header, extra):
+    path = tmp_path / "huge.txt"
+    path.write_text(header + "\n")
+    start = time.perf_counter()
+    code, _, err = run(["solve", "--file", str(path), "--k", "3", *extra], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "capacity" in err
+
+
+def test_largest_uniformity_reports_exact_values(tmp_path, capsys):
+    # r = 1000, k = r: the coefficient's 1000^1000 denominator still prints
+    path = tmp_path / "wide.txt"
+    path.write_text("1000 5\n")
+    report = tmp_path / "r.json"
+    code, _, _ = run(
+        ["solve", "--file", str(path), "--k", "1000", "--report", str(report)], capsys
+    )
+    assert code == 0
+    coefficient = Fraction(json.loads(report.read_text())["coefficient"])
+    assert coefficient == Fraction(math.factorial(1000), 1000**1000)  # S(r, r) = 1
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "3 3\n0 1 2 9223372036854775808\n",  # does not fit in int64
@@ -274,6 +303,18 @@ class TestExperiment:
         assert "pass_rate=" in stdout
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 6
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--sizes", "abc"], ["--sizes", "0"], ["--sizes", "-5"], ["--sizes", ","],
+         ["--sizes", "6", "--reps", "0"]],
+    )
+    def test_scaling_bad_input_exit_2(self, tmp_path, capsys, args):
+        out = tmp_path / "scale.csv"
+        code, _, err = run(["experiment", "--kind", "scaling", *args, "--out", str(out)], capsys)
+        assert code == 2
+        assert "input error" in err
+        assert not out.exists()
 
     def test_scaling_csv(self, tmp_path, capsys):
         out = tmp_path / "scale.csv"

@@ -103,6 +103,11 @@ class TestScalingStudy:
         b = surplus_scaling_study([14], reps=2, seed=9, trials=4)
         assert a == b
 
+    @pytest.mark.parametrize("sizes, reps", [([], 1), ([0], 1), ([12, -5], 1), ([12], 0)])
+    def test_rejects_bad_parameters(self, sizes, reps):
+        with pytest.raises(InputError):
+            surplus_scaling_study(sizes, reps=reps, seed=0, trials=2)
+
     def test_empty_instance_row(self):
         # n = 3 with p = 1/3 draws zero edges for some seed; the row must be
         # recorded with zeros rather than crashing.

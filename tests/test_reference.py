@@ -1,8 +1,9 @@
 """Differential tests: every array layer against the pure-Python reference in
 ``reference.py``, on random multi-hypergraphs (r in {2, 3, 4}, n <= 8,
-multiplicities 1-3)."""
+multiplicities 1-3), and the chunked parser against the line-by-line one."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,17 +12,20 @@ from hypothesis import strategies as st
 
 from hypercut import (
     Hypergraph,
+    InputError,
     brute_force_max_kcut,
     colored_pair_graph,
     cut_size,
     cut_values,
     degree_profile,
     induced_sub,
+    parse_hypergraph,
     sample_and_reduce,
     underlying_multigraph,
 )
+from hypercut import hypergraph
 from hypercut.solver import _CutEvaluator
-from reference import as_items, ref_cut, ref_merge
+from reference import as_items, ref_cut, ref_local_search, ref_merge, ref_parse
 
 
 @st.composite
@@ -78,6 +82,18 @@ def test_cut_evaluators_match_reference(h, data):
         assert [cut_size(h, a, k) for a in batch] == expected
         assert [ev.value(np.array(a)) for a in batch] == expected
         assert cut_values(h, np.array(batch), k).tolist() == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(), st.data())
+def test_kway_local_search_matches_reference(h, data):
+    items = as_items(h)
+    for k in range(2, h.r + 2):
+        start = data.draw(st.lists(st.integers(0, k - 1), min_size=h.n, max_size=h.n))
+        found = _CutEvaluator(h, k).local_search(start).tolist()
+        assert found == ref_local_search(items, h.n, start, k)
+        if k > h.r:  # no edge can meet all k parts: nothing to improve
+            assert found == start
 
 
 @settings(max_examples=30, deadline=None)
@@ -154,3 +170,71 @@ def test_more_parts_than_a_bit_set_holds():
     assert cut_size(h, list(range(64)), 64) == 1
     assert cut_size(h, [v % 63 for v in range(64)], 63) == 1
     assert cut_size(h, [v % 62 for v in range(64)], 63) == 0
+
+
+def parse_outcome(parse, text):
+    """The parsed graph, or the message of the InputError raised."""
+    try:
+        return parse(text)
+    except InputError as exc:
+        return str(exc)
+
+
+# Tokens the chunked parser must read as ``int`` does, or reject on the same
+# line: signs, underscores, a value past int64, and words.
+TOKENS = ["+3", "1_0", "07", "-1", "9223372036854775808", "x", "1.0"]
+
+
+@st.composite
+def texts(draw):
+    """Instance texts, mostly well formed, with comments, blank lines, four
+    line breaks ``splitlines`` splits at, odd tokens and field counts."""
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(r, 6))
+    edge = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True)
+    good = st.tuples(edge, st.lists(st.integers(1, 3), max_size=1)).map(
+        lambda t: " ".join(map(str, t[0] + t[1])))
+    odd = st.lists(st.sampled_from(TOKENS) | st.integers(0, n - 1).map(str), max_size=r + 2).map(
+        " ".join)
+    line = st.one_of(good, good, good, odd, st.just(""), st.just("# note"))
+    line = st.tuples(line, st.sampled_from(["", " # tail", "#"])).map("".join)
+    lines = [f"{r} {n}", *draw(st.lists(line, max_size=12))]
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["# header next", "", "  "])))
+    breaks = st.sampled_from(["\n", "\n", "\r\n", "\x0c", "\r"])
+    return "".join(line + draw(breaks) for line in lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts(), st.sampled_from([1, 2, 3, 4096]))
+def test_parser_matches_line_by_line_reference(text, chunk):
+    with mock.patch.object(hypergraph, "_CHUNK_LINES", chunk):
+        assert parse_outcome(parse_hypergraph, text) == parse_outcome(ref_parse, text)
+
+
+SECOND = hypergraph._CHUNK_LINES + 2  # number of the second chunk's first line
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ("0 1 x", f"line {SECOND}: not an integer list"),
+        ("0 1", f"line {SECOND}: expected 3 vertices"),
+        ("0 1 2 3 4", f"line {SECOND}: expected 3 vertices"),
+    ],
+)
+@pytest.mark.parametrize("early", ["0 1 2", "0 1 2 99999999999999999999"])
+def test_parser_names_the_first_line_of_the_second_chunk(bad, error, early):
+    """The first bad line opens the second chunk, after a first chunk that is
+    well formed or holds a value past int64 (reported only after the rest)."""
+    lines = ["3 5", early] + ["0 1 3"] * (SECOND - 3) + [bad, "0 x 9"]
+    text = "\n".join(lines) + "\n"
+    assert parse_outcome(ref_parse, text).startswith(error)
+    assert parse_outcome(parse_hypergraph, text) == parse_outcome(ref_parse, text)
+
+
+def test_parser_reports_a_value_past_int64_after_the_last_chunk():
+    text = "3 5\n0 1 2 99999999999999999999\n" + "0 1 3\n" * SECOND
+    expected = parse_outcome(ref_parse, text)
+    assert expected.startswith("edges and multiplicities must be int64 values")
+    assert parse_outcome(parse_hypergraph, text) == expected
