@@ -41,7 +41,6 @@ from .hypergraph import (
 from .oracle import brute_force_max_kcut
 from .rounding import (
     BipartitionResult,
-    GramVectors,
     best_bipartition,
     gaussian_sign_round,
     gram_vectors,
@@ -66,7 +65,6 @@ from .spectral import (
     energy,
     negative_eigenspace_psd,
     sdp_energy_bound,
-    spectral_stats,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

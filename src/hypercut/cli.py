@@ -34,13 +34,9 @@ from .oracle import brute_force_max_kcut
 from .solver import SamplePlan, solve_kcut
 
 
-def _digest_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _report_dict(command: str, input_path: str, seed: int, params: dict, cut: KCut) -> dict:
     with open(input_path, "rb") as fh:
-        input_digest = _digest_bytes(fh.read())
+        input_digest = hashlib.sha256(fh.read()).hexdigest()
     report = {
         "command": command,
         "input_digest": input_digest,
@@ -53,7 +49,7 @@ def _report_dict(command: str, input_path: str, seed: int, params: dict, cut: KC
         "notes": list(cut.notes),
     }
     body = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    report["digest"] = _digest_bytes(body.encode())
+    report["digest"] = hashlib.sha256(body.encode()).hexdigest()
     return report
 
 
@@ -99,10 +95,8 @@ def _cmd_gen(args) -> int:
         h, shortfall = gen_random_linear_3graph(args.n, args.m, args.seed)
         if shortfall:
             print(f"warning: packed only {h.m} of {args.m} requested edges")
-    elif args.kind == "complete":
+    else:
         h = gen_complete(args.r, args.n)
-    else:  # argparse choices already guard this
-        raise InputError(f"unknown generator kind {args.kind!r}")
     dump_hypergraph(h, args.out)
     print(f"gen {args.kind}: wrote r={h.r} n={h.n} m={h.m} to {args.out}")
     return 0
@@ -125,7 +119,7 @@ def _cmd_experiment(args) -> int:
             f"experiment concentration: n={args.n} m={g.m} p={args.p} "
             f"reps={args.reps} pass_rate={rate:.3f} -> {args.out}"
         )
-    elif args.kind == "scaling":
+    else:
         try:
             sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
         except ValueError:
@@ -138,8 +132,6 @@ def _cmd_experiment(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(scaling_to_csv(rows))
         print(f"experiment scaling: {len(rows)} rows -> {args.out}")
-    else:
-        raise InputError(f"unknown experiment kind {args.kind!r}")
     return 0
 
 
@@ -192,10 +184,7 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise InputError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

@@ -128,6 +128,7 @@ def surplus_scaling_study(
         raise InputError(f"sizes must be a nonempty list of integers >= 1, got {sizes}")
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}")
+    SamplePlan(trials=trials)  # rejects a bad budget before any draw
     rows: list[ScalingRow] = []
     ss = np.random.SeedSequence(seed)
     for n in sizes:

@@ -54,8 +54,13 @@ def _merge(rows: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The canonicaliser: rows in lexicographic order, equal rows merged into
     one with their multiplicities summed.  Both results are read-only."""
     if len(rows):
-        order = np.lexsort(rows.T[::-1])
-        rows, mult = rows[order], mult[order]
+        # ordered[i]: row i <= row i + 1, decided from the last column to the first
+        ordered = np.ones(len(rows) - 1, dtype=bool)
+        for prev, nxt in zip(rows[:-1].T[::-1], rows[1:].T[::-1]):
+            ordered = (prev < nxt) | ((prev == nxt) & ordered)
+        if not ordered.all():  # a stable sort of ordered rows is the identity
+            order = np.lexsort(rows.T[::-1])
+            rows, mult = rows[order], mult[order]
         first = np.ones(len(rows), dtype=bool)
         first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         starts = np.flatnonzero(first)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import InputError
 from .spectral import (
-    DEFAULT_TOL,
     EigenDecomposition,
     SymmetricMatrix,
     eigen_decompose,
@@ -27,25 +26,9 @@ from .spectral import (
 
 
 @dataclass(frozen=True)
-class GramVectors:
-    """Rows are the vectors z_i realizing the certificate: <z_i, z_j> = X(i,j)."""
-
-    vectors: np.ndarray  # shape (n, d), d = number of negative eigenvalues
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-@dataclass(frozen=True)
 class BipartitionResult:
     x: tuple[int, ...]  # signs in {-1, +1}
     value: float  # quadratic surplus of x
-    trials: int
     flips: int
 
 
@@ -54,8 +37,10 @@ def quadratic_surplus(a: SymmetricMatrix, x) -> float:
     return float(-0.25 * xv @ a.a @ xv)
 
 
-def gram_vectors(e: EigenDecomposition) -> GramVectors:
-    return GramVectors(vectors=e.vectors[:, negative_eigenvalue_mask(e)].copy())
+def gram_vectors(e: EigenDecomposition) -> np.ndarray:
+    """(n, d) rows z_i realizing the certificate, <z_i, z_j> = X(i, j); d is
+    the number of negative eigenvalues."""
+    return e.vectors[:, negative_eigenvalue_mask(e)].copy()
 
 
 def _signs_from_inner(inner: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -68,22 +53,21 @@ def _signs_from_inner(inner: np.ndarray, rng: np.random.Generator) -> np.ndarray
 
 
 def gaussian_sign_round(
-    z: GramVectors, a: SymmetricMatrix, trials: int, seed
+    z: np.ndarray, a: SymmetricMatrix, trials: int, seed
 ) -> BipartitionResult:
     """Best of ``trials`` Gaussian hyperplane roundings, deterministic in seed."""
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
-    if z.n != a.n:
-        raise InputError(f"dimension mismatch: {z.n} vectors for a {a.n}x{a.n} matrix")
+    if len(z) != a.n:
+        raise InputError(f"dimension mismatch: {len(z)} vectors for a {a.n}x{a.n} matrix")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((trials, z.dim))
-    signs = _signs_from_inner(g @ z.vectors.T, rng)
+    g = rng.standard_normal((trials, z.shape[1]))
+    signs = _signs_from_inner(g @ z.T, rng)
     values = -0.25 * np.einsum("ti,ti->t", signs @ a.a, signs)
     best = int(np.argmax(values))
     return BipartitionResult(
         x=tuple(int(s) for s in signs[best]),
         value=float(values[best]),
-        trials=trials,
         flips=0,
     )
 
@@ -113,18 +97,12 @@ def local_search_1flip(a: SymmetricMatrix, x) -> BipartitionResult:
     return BipartitionResult(
         x=tuple(int(s) for s in xv),
         value=quadratic_surplus(a, xv),
-        trials=0,
         flips=flips,
     )
 
 
-def default_round_trials(n: int) -> int:
-    # 100 * ceil(log2(n + 1))
-    return 100 * max(1, n.bit_length())
-
-
 def best_bipartition(
-    a: SymmetricMatrix, trials: int | None = None, seed=0, tol: float = DEFAULT_TOL
+    a: SymmetricMatrix, trials: int | None = None, seed=0
 ) -> BipartitionResult:
     """Best 2-cut found by spectral rounding, eigenvector sign patterns, and a
     random baseline, each polished by 1-flip local search."""
@@ -132,31 +110,18 @@ def best_bipartition(
         raise InputError("matrix must have zero diagonal")
     n = a.n
     if trials is None:
-        trials = default_round_trials(n)
+        trials = 100 * max(1, n.bit_length())  # 100 * ceil(log2(n + 1))
     rng = np.random.default_rng(seed)
     round_seed = rng.integers(0, 2**63)
-    dec = eigen_decompose(a, tol)
+    dec = eigen_decompose(a)
     z = gram_vectors(dec)
-    candidates: list[np.ndarray] = []
     rounded = gaussian_sign_round(z, a, trials, round_seed)
-    candidates.append(np.asarray(rounded.x, dtype=float))
-    # all-random baseline
-    candidates.append(rng.integers(0, 2, size=n).astype(float) * 2 - 1)
-    # sign pattern of each negative eigenvector
-    for j in np.flatnonzero(negative_eigenvalue_mask(dec)):
-        candidates.append(_signs_from_inner(dec.vectors[:, j].copy(), rng))
-    best: BipartitionResult | None = None
-    total_flips = 0
-    for cand in candidates:
-        res = local_search_1flip(a, cand)
-        total_flips += res.flips
-        if best is None or res.value > best.value or (
-            res.value == best.value and res.x < best.x
-        ):
-            best = BipartitionResult(
-                x=res.x, value=res.value, trials=trials, flips=0
-            )
-    assert best is not None
-    return BipartitionResult(
-        x=best.x, value=best.value, trials=trials, flips=total_flips
-    )
+    # the rounding, an all-random baseline, and each negative eigenvector's signs
+    candidates = [
+        np.asarray(rounded.x, dtype=float),
+        rng.integers(0, 2, size=n).astype(float) * 2 - 1,
+    ]
+    candidates += [_signs_from_inner(col, rng) for col in z.T]
+    # ties go to the lexicographically smallest sign vector
+    results = [local_search_1flip(a, cand) for cand in candidates]
+    return min(results, key=lambda r: (-r.value, r.x))

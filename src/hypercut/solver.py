@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError
 from .hypergraph import (
+    MAX_EDGES,
     Hypergraph,
     KCut,
     cut_values,
@@ -25,25 +26,28 @@ from .hypergraph import (
     induced_sub,
     underlying_multigraph,
 )
+from .oracle import CAPACITY
 from .rounding import best_bipartition
 from .spectral import SymmetricMatrix
 
 # Largest vertex count solve_kcut accepts: each collapsed pair graph becomes a
 # dense n x n float64 matrix, 800 MB at this bound.
 MAX_VERTICES = 10_000
+# Largest sampling budget: solve_3cut spawns one seed per trial up front.
+MAX_TRIALS = 10_000
+SAMPLE_P = 1.0 / 3.0  # probability that a vertex joins the sampled set X
 
 
 @dataclass(frozen=True)
 class SamplePlan:
-    p: float = 1.0 / 3.0
     trials: int = 30
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.p < 1.0):
-            raise InputError(f"sampling probability must be in (0,1), got {self.p}")
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > MAX_TRIALS:
+            raise CapacityError(f"{self.trials} trials exceed the capacity {MAX_TRIALS}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +175,20 @@ def _trivial_cut(h: Hypergraph, k: int, notes: tuple[str, ...] = ()) -> KCut:
     return KCut.from_assignment(h, [0] * h.n, k, notes=notes)
 
 
+def _offer_random(ev: _CutEvaluator, best: _Best, rngs) -> None:
+    """Offer one uniformly random k-cut per generator in ``rngs``, and the
+    best of them after k-way local search, so ``best`` never trails the
+    random baseline."""
+    best_random = _Best()
+    for rng in rngs:
+        assign = rng.integers(0, ev.k, size=ev.h.n).astype(np.intp)
+        val = ev.value(assign)
+        best.offer(val, assign)
+        best_random.offer(val, assign)
+    polished = ev.local_search(best_random.assignment)
+    best.offer(ev.value(polished), polished)
+
+
 def solve_3cut(h: Hypergraph, plan: SamplePlan) -> KCut:
     """Sampling + spectral rounding for the max 3-cut of a 3-graph.
 
@@ -183,11 +201,10 @@ def solve_3cut(h: Hypergraph, plan: SamplePlan) -> KCut:
         return _trivial_cut(h, 3)
     ev = _CutEvaluator(h, 3)
     best = _Best()
-    n_base = max(1, math.ceil(plan.trials / 4))
-    children = np.random.SeedSequence(plan.seed).spawn(plan.trials + n_base + 1)
+    children = np.random.SeedSequence(plan.seed).spawn(plan.trials + (plan.trials + 3) // 4)
     for t in range(plan.trials):
         rng = np.random.default_rng(children[t])
-        sampled = np.flatnonzero(rng.random(h.n) < plan.p)
+        sampled = np.flatnonzero(rng.random(h.n) < SAMPLE_P)
         red = sample_and_reduce(h, sampled)
         assign = np.full(h.n, 1, dtype=np.intp)
         assign[sampled] = 0
@@ -198,15 +215,7 @@ def solve_3cut(h: Hypergraph, plan: SamplePlan) -> KCut:
             rest = np.asarray(red.rest, dtype=np.intp)
             assign[rest[signs < 0]] = 2
         best.offer(ev.value(assign), assign)
-    best_random = _Best()
-    for j in range(n_base):
-        rng = np.random.default_rng(children[plan.trials + j])
-        assign = rng.integers(0, 3, size=h.n).astype(np.intp)
-        val = ev.value(assign)
-        best.offer(val, assign)
-        best_random.offer(val, assign)
-    polished = ev.local_search(best_random.assignment)
-    best.offer(ev.value(polished), polished)
+    _offer_random(ev, best, map(np.random.default_rng, children[plan.trials:]))
     final = ev.local_search(best.assignment)
     best.offer(ev.value(final), final)
     return KCut.from_assignment(h, best.assignment, 3)
@@ -265,10 +274,7 @@ def solve_3cut_auto(h: Hypergraph, plan: SamplePlan) -> KCut:
     best = _Best()
     best.offer(direct.cut_value, direct.assignment)
     if sub.m > 0:
-        sub_plan = SamplePlan(
-            p=plan.p, trials=plan.trials, seed=_subseed(plan.seed, 1)
-        )
-        part = solve_3cut(sub, sub_plan)
+        part = solve_3cut(sub, SamplePlan(trials=plan.trials, seed=_subseed(plan.seed, 1)))
         rng = np.random.default_rng(_subseed(plan.seed, 2))
         assign = rng.integers(0, 3, size=h.n).astype(np.intp)
         assign[list(ids)] = part.assignment
@@ -299,19 +305,21 @@ def reduce_cut_up(h: Hypergraph, cut: KCut, trials: int, seed: int) -> KCut:
     return KCut.from_assignment(h, best.assignment, r)
 
 
-def _baseline_kcut(h: Hypergraph, k: int, trials: int, seed: int) -> _Best:
-    ev = _CutEvaluator(h, k)
-    rng = np.random.default_rng(seed)
-    best = _Best()
-    best_random = _Best()
-    for _ in range(max(1, math.ceil(trials / 4))):
-        assign = rng.integers(0, k, size=h.n).astype(np.intp)
-        val = ev.value(assign)
-        best.offer(val, assign)
-        best_random.offer(val, assign)
-    polished = ev.local_search(best_random.assignment)
-    best.offer(ev.value(polished), polished)
-    return best
+def _check_chain(h: Hypergraph) -> None:
+    """Refuse a chain of underlying multigraphs too large to build, down to
+    the pair graph that solving level 3 builds.  Level j gathers the j+1
+    j-subsets of each of its parent's distinct rows, of which there are at
+    most min(C(n, j+1), C(r, j+1) * d) for d distinct edges, and holds j+1
+    times as many edges as its parent."""
+    cells, m = 0, h.m
+    for j in range(h.r - 1, 1, -1):
+        rows = min(math.comb(h.n, j + 1), math.comb(h.r, j + 1) * len(h.mult))
+        cells, m = cells + rows * (j + 1) * j, m * (j + 1)
+        if cells > CAPACITY or m > MAX_EDGES:
+            raise CapacityError(
+                f"the chain from r={h.r} down to 2 needs more than {CAPACITY} "
+                f"vertex ids or {MAX_EDGES} edges"
+            )
 
 
 def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
@@ -335,32 +343,31 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
     if h.r == 3 and k == 3:
         return solve_3cut_auto(h, plan)
     notes: tuple[str, ...] = ()
+    ev = _CutEvaluator(h, k)
     best = _Best()
     if k == 2 and h.r <= 3:
         pairs = h if h.r == 2 else underlying_multigraph(h, 2)
         a = SymmetricMatrix.from_pair_graph(pairs)
         bp = best_bipartition(a, seed=_subseed(plan.seed, 3))
-        ev = _CutEvaluator(h, 2)
         assign = ev.local_search(np.where(np.asarray(bp.x) > 0, 0, 1))
         best.offer(ev.value(assign), assign)
     elif k in (h.r - 1, h.r):
+        _check_chain(h)
         chain: dict[int, Hypergraph] = {h.r: h}
         for j in range(h.r - 1, 2, -1):
             chain[j] = underlying_multigraph(chain[j + 1], j)
-        part = solve_3cut_auto(
-            chain[3], SamplePlan(p=plan.p, trials=plan.trials, seed=_subseed(plan.seed, 4))
+        cur = solve_3cut_auto(
+            chain[3], SamplePlan(trials=plan.trials, seed=_subseed(plan.seed, 4))
         )
-        cur = part
         for j in range(4, k + 1):
             as_jcut = KCut.from_assignment(chain[j], cur.assignment, j - 1)
             cur = reduce_cut_up(
                 chain[j], as_jcut, trials=plan.trials, seed=_subseed(plan.seed, 10 + j)
             )
-        ev = _CutEvaluator(h, k)
         assign = ev.local_search(cur.assignment)
         best.offer(ev.value(assign), assign)
     else:
         notes = ("baseline-only: k outside the guaranteed range {r-1, r}",)
-    baseline = _baseline_kcut(h, k, plan.trials, _subseed(plan.seed, 5))
-    best.offer(baseline.value, baseline.assignment)
+    rng = np.random.default_rng(_subseed(plan.seed, 5))
+    _offer_random(ev, best, [rng] * ((plan.trials + 3) // 4))
     return KCut.from_assignment(h, best.assignment, k, notes=notes)

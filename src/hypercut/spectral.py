@@ -2,7 +2,7 @@
 
 The full spectrum comes from LAPACK through ``numpy.linalg.eigh``.  Its
 result is checked before use: the residual ``max |A v_i - lambda_i v_i|``
-must not exceed ``n * tol * max(||A||_F, 1)``, or ``NumericError`` is raised.
+must not exceed ``n * TOL * max(||A||_F, 1)``, or ``NumericError`` is raised.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import numpy as np
 from .errors import InputError, NumericError
 from .hypergraph import ColoredMultigraph, Hypergraph
 
-DEFAULT_TOL = 1e-10
+# Relative tolerance of the residual check, the negativity margin and the
+# trace check.
+TOL = 1e-10
 
 
 def adjacency(n: int, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -47,10 +49,6 @@ class SymmetricMatrix:
         return self.a.shape[0]
 
     @classmethod
-    def zeros(cls, n: int) -> "SymmetricMatrix":
-        return cls(np.zeros((n, n)))
-
-    @classmethod
     def from_pair_graph(cls, h: Hypergraph) -> "SymmetricMatrix":
         """Adjacency matrix of a 2-uniform multigraph: zero diagonal,
         A(u,v) = edge multiplicity."""
@@ -63,21 +61,6 @@ class SymmetricMatrix:
         """Adjacency of a colored multigraph, colors summed out."""
         return cls(adjacency(g.n, g.edges[:, :2], g.mult))
 
-    def to_text(self) -> str:
-        return (
-            "\n".join(" ".join(repr(float(x)) for x in row) for row in self.a)
-            + "\n"
-        )
-
-    @classmethod
-    def from_text(cls, text: str) -> "SymmetricMatrix":
-        rows = [
-            [float(tok) for tok in line.split()]
-            for line in text.splitlines()
-            if line.strip()
-        ]
-        return cls(np.array(rows))
-
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -86,7 +69,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray  # shape (n,), descending
     vectors: np.ndarray  # orthonormal columns, aligned with eigenvalues
     residual: float  # max entry of |A v_i - lambda_i v_i|
-    tol: float
 
     @property
     def n(self) -> int:
@@ -99,11 +81,9 @@ class EigenDecomposition:
         return float(np.max(np.abs(self.eigenvalues)))
 
 
-def eigen_decompose(a: SymmetricMatrix, tol: float = DEFAULT_TOL) -> EigenDecomposition:
+def eigen_decompose(a: SymmetricMatrix) -> EigenDecomposition:
     if a.n < 1:
         raise InputError("matrix must have dimension >= 1")
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
     try:
         ascending, vectors = np.linalg.eigh(a.a)
     except np.linalg.LinAlgError as exc:
@@ -111,39 +91,25 @@ def eigen_decompose(a: SymmetricMatrix, tol: float = DEFAULT_TOL) -> EigenDecomp
     values = ascending[::-1]
     vectors = vectors[:, ::-1]
     residual = float(np.max(np.abs(a.a @ vectors - vectors * values), initial=0.0))
-    bound = a.n * tol * max(float(np.linalg.norm(a.a)), 1.0)
+    bound = a.n * TOL * max(float(np.linalg.norm(a.a)), 1.0)
     if residual > bound:
         raise NumericError(
             f"eigendecomposition residual {residual:.3e} exceeds {bound:.3e}"
         )
-    return EigenDecomposition(
-        eigenvalues=values, vectors=vectors, residual=residual, tol=tol
-    )
+    return EigenDecomposition(eigenvalues=values, vectors=vectors, residual=residual)
 
 
-def energy(a: SymmetricMatrix, tol: float = DEFAULT_TOL) -> float:
+def energy(a: SymmetricMatrix) -> float:
     """Sum of absolute values of the eigenvalues."""
-    return float(np.sum(np.abs(eigen_decompose(a, tol).eigenvalues)))
-
-
-def spectral_stats(
-    a: SymmetricMatrix, tol: float = DEFAULT_TOL
-) -> tuple[float, float, float]:
-    """(spectral radius, Frobenius norm, trace)."""
-    dec = eigen_decompose(a, tol)
-    return (
-        dec.spectral_radius,
-        float(np.sqrt(np.sum(a.a * a.a))),
-        float(np.trace(a.a)),
-    )
+    return float(np.sum(np.abs(eigen_decompose(a).eigenvalues)))
 
 
 def negative_eigenvalue_mask(e: EigenDecomposition) -> np.ndarray:
-    """Eigenvalues treated as negative: below -n * tol * ||A||.
+    """Eigenvalues treated as negative: below -n * TOL * ||A||.
 
     The margin keeps numerical zeros out of the negative eigenspace.
     """
-    cut = -e.n * e.tol * e.spectral_radius
+    cut = -e.n * TOL * e.spectral_radius
     return e.eigenvalues < cut
 
 
@@ -155,15 +121,15 @@ def negative_eigenspace_psd(e: EigenDecomposition) -> SymmetricMatrix:
     return SymmetricMatrix((x + x.T) / 2.0)
 
 
-def sdp_energy_bound(a: SymmetricMatrix, tol: float = DEFAULT_TOL) -> float:
+def sdp_energy_bound(a: SymmetricMatrix) -> float:
     """Value -1/2 <X, A> of the negative-eigenspace certificate.
 
     For trace-free A this equals one quarter of the energy, since the
     negative eigenvalues then sum to minus half the energy.
     """
-    dec = eigen_decompose(a, tol)
+    dec = eigen_decompose(a)
     fro = float(np.linalg.norm(a.a))
-    trace_tol = a.n * tol * max(1.0, fro)
+    trace_tol = a.n * TOL * max(1.0, fro)
     tr = float(np.trace(a.a))
     if abs(tr) > trace_tol:
         raise InputError(f"matrix trace {tr:.3e} exceeds tolerance {trace_tol:.3e}")

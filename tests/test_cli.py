@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -228,6 +229,58 @@ def test_largest_uniformity_reports_exact_values(tmp_path, capsys):
     assert code == 0
     coefficient = Fraction(json.loads(report.read_text())["coefficient"])
     assert coefficient == Fraction(math.factorial(1000), 1000**1000)  # S(r, r) = 1
+
+
+def run_small(args, capsys):
+    """Run ``main`` and return (exit code, stderr, peak traced bytes)."""
+    tracemalloc.start()
+    try:
+        code, _, err = run(args, capsys)
+        return code, err, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "text, k",
+    [
+        # one edge of 40 vertices: the chain would hold C(40, j) rows at level j
+        ("40 40\n" + " ".join(map(str, range(40))) + "\n", "40"),
+        ("40 40\n" + " ".join(map(str, range(40))) + "\n", "39"),
+        # 2^50 edges: level 3 would hold 6 * 5 * 4 * 2^50 > 2^53
+        ("6 6\n0 1 2 3 4 5 1125899906842624\n", "6"),
+        # level 3 fits, but its pair graph holds 12 * 750599937895083 > 2^53
+        ("4 4\n0 1 2 3 750599937895083\n", "4"),
+    ],
+)
+def test_long_chain_exit_3_fast(tmp_path, capsys, text, k):
+    path = tmp_path / "wide.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, err, peak = run_small(["solve", "--file", str(path), "--k", k], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "capacity" in err
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--file", "h.txt", "--k", "3"],
+        ["experiment", "--kind", "scaling", "--out", "s.csv"],
+    ],
+)
+def test_huge_trials_exit_3_fast(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.txt").write_text("3 3\n0 1 2\n")
+    start = time.perf_counter()
+    code, err, peak = run_small([*args, "--trials", "1000000000000"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "capacity" in err
+    assert peak < 5 * 2**20
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -57,6 +57,9 @@ def test_from_edges_is_canonical(raw, rnd):
     messy = [(tuple(rnd.sample(v, r)), 1) for v, mult in items for _ in range(mult)]
     rnd.shuffle(messy)
     assert Hypergraph.from_edges(r, n, messy) == h
+    # rows already in order, repeats included: the constructor skips its sort
+    ordered = sorted((tuple(sorted(v)), 1) for v, mult in items for _ in range(mult))
+    assert Hypergraph.from_edges(r, n, ordered) == h
     assert h.edges.dtype == np.intp and h.mult.dtype == np.int64
     assert h.edges.shape == (len(canonical), r)
 
