@@ -8,11 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .generators import gen_random_3graph
 from .hypergraph import ColoredMultigraph
 from .solver import SamplePlan, solve_3cut_auto
 from .spectral import SymmetricMatrix, adjacency, eigen_decompose
+
+# Largest number of repetitions a study runs; both keep every record in memory.
+MAX_REPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,13 @@ RECORD_COLUMNS = (
 )
 
 
+def _check_reps(reps: int) -> None:
+    if reps < 1:
+        raise InputError(f"reps must be >= 1, got {reps}")
+    if reps > MAX_REPS:
+        raise CapacityError(f"{reps} reps exceed the capacity {MAX_REPS}")
+
+
 def colored_sampling_experiment(
     g: ColoredMultigraph,
     p: float,
@@ -56,8 +66,7 @@ def colored_sampling_experiment(
     threshold t = 20 ln(m) sqrt(max_degree * color_degree_bound)."""
     if not (0.0 < p <= 1.0):
         raise InputError(f"probability must be in (0,1], got {p}")
-    if reps < 1:
-        raise InputError(f"reps must be >= 1, got {reps}")
+    _check_reps(reps)
     a = SymmetricMatrix.from_colored(g).a
     colors, color_of_edge = np.unique(g.edges[:, 2], return_inverse=True)
     delta = g.max_degree()
@@ -126,8 +135,7 @@ def surplus_scaling_study(
     exponent fitting is left to post-processing (see fit_loglog_slope)."""
     if not sizes or min(sizes) < 1:
         raise InputError(f"sizes must be a nonempty list of integers >= 1, got {sizes}")
-    if reps < 1:
-        raise InputError(f"reps must be >= 1, got {reps}")
+    _check_reps(reps)
     SamplePlan(trials=trials)  # rejects a bad budget before any draw
     rows: list[ScalingRow] = []
     ss = np.random.SeedSequence(seed)

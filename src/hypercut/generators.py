@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -14,6 +13,8 @@ from .hypergraph import Hypergraph
 
 # Largest number of potential edges C(n, r) a generator enumerates.
 MAX_CANDIDATES = 10**8
+# Floats gen_random_uniform draws at once: bounds its memory by the kept edges.
+_DRAW = 1 << 16
 
 
 def _candidates(r: int, n: int) -> int:
@@ -28,25 +29,41 @@ def _candidates(r: int, n: int) -> int:
     return total
 
 
-def _combinations(r: int, n: int, keep: np.ndarray | None = None) -> Hypergraph:
-    """The r-subsets of range(n) in lexicographic order, each an edge of
-    multiplicity 1; only those flagged in ``keep`` when it is given."""
-    count = _candidates(r, n)
-    combos = itertools.combinations(range(n), r)
-    if keep is not None:
-        combos, count = itertools.compress(combos, keep), int(keep.sum())
-    flat = itertools.chain.from_iterable(combos)
-    rows = np.fromiter(flat, dtype=np.intp, count=count * r).reshape(count, r)
-    return Hypergraph(r, n, rows, np.ones(count, dtype=np.int64))
+def _subsets(r: int, n: int, ranks: np.ndarray) -> Hypergraph:
+    """The r-subsets of range(n) at the given ascending lexicographic ranks,
+    each an edge of multiplicity 1.
+
+    Lexicographic rank R of the subset c_0 < ... < c_{r-1} satisfies
+    C(n, r) - 1 - R = sum_i C(n-1-c_i, r-i), the combinatorial number
+    system, so each c_i is read off greedily, largest binomial first.
+    """
+    rest = math.comb(n, r) - 1 - np.asarray(ranks, dtype=np.int64)
+    rows = np.empty((len(rest), r), dtype=np.intp)
+    for i in range(r):
+        j = r - i
+        # n-1-c_i lies in [j-1, n-r+j-1]; these binomials are at most C(n-1, r)
+        table = np.array([math.comb(d, j) for d in range(j - 1, n - r + j)], dtype=np.int64)
+        d = np.searchsorted(table, rest, side="right") - 1
+        rest -= table[d]
+        rows[:, i] = n - r + i - d
+    return Hypergraph(r, n, rows, np.ones(len(rows), dtype=np.int64))
 
 
 def gen_random_uniform(r: int, n: int, p: float, seed: int) -> Hypergraph:
     """Each of the C(n, r) potential edges included independently with
-    probability p; deterministic given the seed."""
+    probability p; deterministic given the seed.
+
+    One float per potential edge, in lexicographic order, decides it; the
+    floats are drawn _DRAW at a time, which continues the one stream.
+    """
     if not (0.0 <= p <= 1.0):
         raise InputError(f"probability must be in [0,1], got {p}")
-    keep = np.random.default_rng(seed).random(_candidates(r, n)) < p
-    return _combinations(r, n, keep)
+    total = _candidates(r, n)
+    rng = np.random.default_rng(seed)
+    kept = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, total, _DRAW):
+        kept.append(start + np.flatnonzero(rng.random(min(_DRAW, total - start)) < p))
+    return _subsets(r, n, np.concatenate(kept))
 
 
 def gen_random_3graph(n: int, p: float, seed: int) -> Hypergraph:
@@ -89,7 +106,7 @@ def gen_random_linear_3graph(
 def gen_complete(r: int, n: int) -> Hypergraph:
     if n < r:
         raise InputError(f"complete {r}-graph needs n >= r, got n={n}")
-    return _combinations(r, n)
+    return _subsets(r, n, np.arange(_candidates(r, n)))
 
 
 def edwards_bound(m: int):

@@ -12,11 +12,24 @@ CAPACITY = 10**8
 _CELLS = 1 << 19
 
 
-def brute_force_max_kcut(h: Hypergraph, k: int) -> KCut:
-    """Exact maximum k-cut by exhaustive scan.
+def _growing(length: int, labels: int, top: int) -> np.ndarray:
+    """The strings of ``length`` part ids below ``labels`` that may follow a
+    growth string whose largest part id is ``top`` (each part id at most 1 +
+    the largest before it), in lexicographic order."""
+    rows = np.indices((labels,) * length).reshape(length, labels**length).T
+    seen = np.maximum.accumulate(np.column_stack([np.full(len(rows), top), rows]), axis=1)
+    return rows[(rows <= seen[:, :-1] + 1).all(axis=1)]
 
-    Vertex 0 is pinned to part 0 (part labels are symmetric), and the first
-    maximizer in lexicographic assignment order is returned.
+
+def brute_force_max_kcut(h: Hypergraph, k: int) -> KCut:
+    """Exact maximum k-cut by exhaustive scan over restricted growth strings.
+
+    A cut's value ignores part names, and relabelling parts by first
+    occurrence maps every assignment to the lexicographically smallest one of
+    its orbit, a restricted growth string (each vertex's part is at most 1 +
+    the largest part before it).  Scanning those strings alone in
+    lexicographic order therefore returns the first maximizer in
+    lexicographic assignment order, with vertex 0 in part 0.
     """
     if k < 2:
         raise InputError(f"need k >= 2, got k={k}")
@@ -28,14 +41,27 @@ def brute_force_max_kcut(h: Hypergraph, k: int) -> KCut:
         raise CapacityError(
             f"{k}^{h.n} assignments exceed the exhaustive capacity {CAPACITY}"
         )
-    total = k ** (h.n - 1)
-    powers = k ** np.arange(h.n - 2, -1, -1, dtype=np.int64)
+    # Each growth string is a head on the first n - t vertices and a tail on
+    # the last t; the head table and each tail table hold at most about
+    # sqrt(k^n) rows.
+    labels, t = min(k, h.n), h.n // 2
+    rest = _growing(h.n - t - 1, labels, 0)
+    heads = np.column_stack([np.zeros(len(rest), dtype=np.intp), rest])
+    tops = heads.max(axis=1)
+    tails = [_growing(t, labels, top) for top in range(labels)]
+    sizes = np.array([len(rows) for rows in tails])
+    ends = np.cumsum(sizes[tops])  # growth strings through each head
+    # string g has head i = searchsorted(ends, g, "right") and tail
+    # flat[g + shift[i]], flat holding the tails of each top in turn
+    flat = np.concatenate(tails)
+    shift = (np.cumsum(sizes) - sizes)[tops] - (ends - sizes[tops])
     chunk = max(1, _CELLS // max(h.edges.size, h.n))
     best_val, best_assign = -1, None
+    total = int(ends[-1])
     for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        assigns = np.zeros((len(codes), h.n), dtype=np.intp)
-        assigns[:, 1:] = (codes[:, None] // powers) % k
+        g = np.arange(start, min(start + chunk, total))
+        i = np.searchsorted(ends, g, side="right")
+        assigns = np.concatenate([heads[i], flat[g + shift[i]]], axis=1)
         vals = cut_values(h, assigns, k)
         idx = int(np.argmax(vals))  # first occurrence = lexicographic min
         if vals[idx] > best_val:

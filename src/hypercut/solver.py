@@ -340,6 +340,8 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
         )
     if h.n == 0 or h.m == 0:
         return _trivial_cut(h, k)
+    if k in (h.r - 1, h.r):  # every such path builds the pair graph
+        _check_chain(h)
     if h.r == 3 and k == 3:
         return solve_3cut_auto(h, plan)
     notes: tuple[str, ...] = ()
@@ -352,7 +354,6 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
         assign = ev.local_search(np.where(np.asarray(bp.x) > 0, 0, 1))
         best.offer(ev.value(assign), assign)
     elif k in (h.r - 1, h.r):
-        _check_chain(h)
         chain: dict[int, Hypergraph] = {h.r: h}
         for j in range(h.r - 1, 2, -1):
             chain[j] = underlying_multigraph(chain[j + 1], j)

@@ -1,8 +1,15 @@
 """Pure-Python reference for the array code: a dict merge, a set-of-parts
 cut counter, the k-way probe search and the line-by-line text parser.  Edges
-are lists of (vertex tuple, multiplicity) pairs."""
+are lists of (vertex tuple, multiplicity) pairs.  Two references keep numpy
+for speed: the full k^(n-1) oracle scan, scored by ``cut_values`` (pinned to
+``ref_cut`` by its own test), and the one-draw-per-candidate generator."""
 
-from hypercut import Hypergraph, InputError
+import itertools
+import math
+
+import numpy as np
+
+from hypercut import Hypergraph, InputError, cut_values
 
 
 def ref_merge(items, key=lambda verts: tuple(sorted(verts))):
@@ -66,3 +73,24 @@ def ref_parse(text):
     if header is None:
         raise InputError("empty input: missing 'r n' header line")
     return Hypergraph(header[0], header[1], rows, mult)
+
+
+def ref_max_kcut(h, k):
+    """(value, assignment) of the first maximum k-cut among all k^(n-1)
+    assignments with vertex 0 in part 0, in lexicographic order."""
+    if h.n == 0:
+        return 0, ()
+    assigns = np.array(
+        [(0, *tail) for tail in itertools.product(range(k), repeat=h.n - 1)], dtype=np.intp
+    )
+    vals = cut_values(h, assigns, k)
+    best = int(np.argmax(vals))  # first occurrence
+    return int(vals[best]), tuple(assigns[best].tolist())
+
+
+def ref_gen_random_uniform(r, n, p, seed):
+    """One float per r-subset of range(n), all drawn at once in lexicographic
+    order; the subsets whose float is below p are the edges."""
+    keep = np.random.default_rng(seed).random(math.comb(n, r)) < p
+    edges = itertools.compress(itertools.combinations(range(n), r), keep)
+    return Hypergraph.from_edges(r, n, edges)

@@ -251,6 +251,9 @@ def run_small(args, capsys):
         ("6 6\n0 1 2 3 4 5 1125899906842624\n", "6"),
         # level 3 fits, but its pair graph holds 12 * 750599937895083 > 2^53
         ("4 4\n0 1 2 3 750599937895083\n", "4"),
+        # m = 2^52 fits, but the 3-graph's pair graph holds 3m > 2^53
+        ("3 3\n0 1 2 4503599627370496\n", "2"),
+        ("3 3\n0 1 2 4503599627370496\n", "3"),
     ],
 )
 def test_long_chain_exit_3_fast(tmp_path, capsys, text, k):
@@ -276,6 +279,24 @@ def test_huge_trials_exit_3_fast(tmp_path, capsys, monkeypatch, args):
     (tmp_path / "h.txt").write_text("3 3\n0 1 2\n")
     start = time.perf_counter()
     code, err, peak = run_small([*args, "--trials", "1000000000000"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "capacity" in err
+    assert peak < 5 * 2**20
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["experiment", "--kind", "concentration", "--n", "20", "--out", "s.csv"],
+        ["experiment", "--kind", "scaling", "--sizes", "9", "--trials", "2", "--out", "s.csv"],
+    ],
+)
+def test_huge_reps_exit_3_fast(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, err, peak = run_small([*args, "--reps", "1000000000000"], capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert "capacity" in err

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from hypercut import (
     gen_random_linear_3graph,
     gen_random_uniform,
     random_cut_coefficient,
+    stirling2,
 )
+from hypercut import oracle
 
 
 class TestOracle:
@@ -78,6 +81,15 @@ class TestOracle:
         for _ in range(50):
             a = rng.integers(0, 3, size=6)
             assert cut_size(h, a, 3) <= opt
+
+    @pytest.mark.parametrize("r, n, k", [(2, 2, 5), (2, 9, 2), (3, 8, 3), (4, 8, 4), (3, 5, 7)])
+    def test_scans_one_labelling_per_partition(self, r, n, k):
+        # one restricted growth string per partition of the n vertices into
+        # at most k blocks, against k^(n-1) labellings with vertex 0 pinned
+        with mock.patch.object(oracle, "cut_values", wraps=oracle.cut_values) as scored:
+            brute_force_max_kcut(gen_complete(r, n), k)
+        scanned = sum(len(call.args[1]) for call in scored.call_args_list)
+        assert scanned == sum(stirling2(n, j) for j in range(1, k + 1))
 
     def test_capacity_error(self):
         h = gen_complete(2, 30)

@@ -1,8 +1,11 @@
 """Differential tests: every array layer against the pure-Python reference in
 ``reference.py``, on random multi-hypergraphs (r in {2, 3, 4}, n <= 8,
-multiplicities 1-3), and the chunked parser against the line-by-line one."""
+multiplicities 1-3), the chunked parser against the line-by-line one, the
+growth-string oracle against the full scan, and the chunked generators against
+one draw per candidate."""
 
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -18,28 +21,40 @@ from hypercut import (
     cut_size,
     cut_values,
     degree_profile,
+    gen_complete,
+    gen_random_uniform,
     induced_sub,
     parse_hypergraph,
     sample_and_reduce,
     underlying_multigraph,
 )
-from hypercut import hypergraph
+from hypercut import generators, hypergraph, oracle
 from hypercut.solver import _CutEvaluator
-from reference import as_items, ref_cut, ref_local_search, ref_merge, ref_parse
+from reference import (
+    as_items,
+    ref_cut,
+    ref_gen_random_uniform,
+    ref_local_search,
+    ref_merge,
+    ref_max_kcut,
+    ref_parse,
+)
 
 
 @st.composite
-def raw_items(draw, rs=(2, 3, 4)):
-    """(r, n, items): edge items as drawn, unsorted and possibly repeated."""
+def raw_items(draw, rs=(2, 3, 4), min_n=None):
+    """(r, n, items): edge items as drawn, unsorted and possibly repeated;
+    n >= r unless ``min_n`` is given."""
     r = draw(st.sampled_from(rs))
-    n = draw(st.integers(r, 8))
+    n = draw(st.integers(r if min_n is None else min_n, 8))
     edge = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True)
-    items = draw(st.lists(st.tuples(edge.map(tuple), st.integers(1, 3)), max_size=12))
+    items = st.lists(st.tuples(edge.map(tuple), st.integers(1, 3)), max_size=12)
+    items = draw(items) if n >= r else []
     return r, n, items
 
 
-def graphs(rs=(2, 3, 4)):
-    return raw_items(rs).map(lambda t: Hypergraph.from_edges(t[0], t[1], t[2]))
+def graphs(rs=(2, 3, 4), min_n=None):
+    return raw_items(rs, min_n).map(lambda t: Hypergraph.from_edges(t[0], t[1], t[2]))
 
 
 def subsets(n):
@@ -106,6 +121,46 @@ def test_oracle_matches_reference_maximum(h, k):
     items = as_items(h)
     best = max(ref_cut(items, a, k) for a in itertools.product(range(k), repeat=h.n))
     assert brute_force_max_kcut(h, k).cut_value == best
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(min_n=0), st.data(), st.sampled_from([oracle._CELLS, 64]))
+def test_oracle_matches_full_scan(h, data, cells):
+    """Same value and assignment as the k^(n-1) scan, for k up to r + 2 (so k
+    > n and k > r occur), in one chunk or in chunks of a few rows."""
+    k = data.draw(st.integers(2, h.r + 2))
+    with mock.patch.object(oracle, "_CELLS", cells):
+        cut = brute_force_max_kcut(h, k)
+    assert (cut.cut_value, cut.assignment) == ref_max_kcut(h, k)
+
+
+def test_oracle_scan_spans_many_chunks():
+    # 29,525 growth strings in chunks of 2^19 // (165 * 3) = 1,059
+    h = gen_complete(3, 11)
+    cut = brute_force_max_kcut(h, 3)
+    assert (cut.cut_value, cut.assignment) == ref_max_kcut(h, 3)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("p", [0.0, 0.01, 0.5, 1.0])
+def test_gen_random_uniform_matches_one_draw_per_candidate(r, p):
+    for n in (0, r - 1, r, 9, 14):
+        for seed in range(3):
+            assert gen_random_uniform(r, n, p, seed) == ref_gen_random_uniform(r, n, p, seed)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.5])
+def test_gen_random_uniform_draws_across_chunks(p):
+    assert math.comb(100, 3) > 2 * generators._DRAW  # three draws, the last partial
+    assert gen_random_uniform(3, 100, p, 7) == ref_gen_random_uniform(3, 100, p, 7)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_gen_complete_matches_combinations(r):
+    for n in range(r, 13):
+        assert gen_complete(r, n).edges.tolist() == [
+            list(c) for c in itertools.combinations(range(n), r)
+        ]
 
 
 @settings(max_examples=40, deadline=None)
