@@ -11,7 +11,8 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .hypergraph import Hypergraph
 
-# Largest number of potential edges C(n, r) a generator enumerates.
+# Largest number of potential edges C(n, r) a generator enumerates, and of
+# vertex ids r * m it materialises for the m edges it keeps.
 MAX_CANDIDATES = 10**8
 # Floats gen_random_uniform draws at once: bounds its memory by the kept edges.
 _DRAW = 1 << 16
@@ -27,6 +28,13 @@ def _candidates(r: int, n: int) -> int:
             f"C({n}, {r}) = {total} potential edges exceed {MAX_CANDIDATES}"
         )
     return total
+
+
+def _check_ids(r: int, m: float) -> None:
+    if r * m > MAX_CANDIDATES:
+        raise CapacityError(
+            f"{r} x {m:.0f} edges need more than {MAX_CANDIDATES} vertex ids"
+        )
 
 
 def _subsets(r: int, n: int, ranks: np.ndarray) -> Hypergraph:
@@ -54,15 +62,21 @@ def gen_random_uniform(r: int, n: int, p: float, seed: int) -> Hypergraph:
     probability p; deterministic given the seed.
 
     One float per potential edge, in lexicographic order, decides it; the
-    floats are drawn _DRAW at a time, which continues the one stream.
+    floats are drawn _DRAW at a time, which continues the one stream.  The
+    vertex ids of the kept edges are capped, in expectation up front and
+    as the kept count grows.
     """
     if not (0.0 <= p <= 1.0):
         raise InputError(f"probability must be in [0,1], got {p}")
     total = _candidates(r, n)
+    _check_ids(r, p * total)
     rng = np.random.default_rng(seed)
     kept = [np.zeros(0, dtype=np.int64)]
+    m = 0
     for start in range(0, total, _DRAW):
         kept.append(start + np.flatnonzero(rng.random(min(_DRAW, total - start)) < p))
+        m += len(kept[-1])
+        _check_ids(r, m)
     return _subsets(r, n, np.concatenate(kept))
 
 
@@ -106,7 +120,9 @@ def gen_random_linear_3graph(
 def gen_complete(r: int, n: int) -> Hypergraph:
     if n < r:
         raise InputError(f"complete {r}-graph needs n >= r, got n={n}")
-    return _subsets(r, n, np.arange(_candidates(r, n)))
+    total = _candidates(r, n)
+    _check_ids(r, total)
+    return _subsets(r, n, np.arange(total))
 
 
 def edwards_bound(m: int):

@@ -73,31 +73,44 @@ def gaussian_sign_round(
 
 
 def local_search_1flip(a: SymmetricMatrix, x) -> BipartitionResult:
-    """First-improvement single-sign flips, cyclic vertex order.
+    """First-improvement single-sign flips in cyclic vertex order, from one
+    start ``x`` of shape (n,) or from each row of a stack (s, n); the best
+    result, ties to the lexicographically smallest x, with its own flips.
 
-    Flipping x(i) changes the value by x(i) * (A x)(i); at termination no
-    single flip improves, so for a nonnegative zero-diagonal A the cut is at
-    least half the edge weight.
+    Flipping x(i) changes the value by x(i) * (A x)(i).  All starts run in
+    lockstep: each round flips, in every start that still has an improving
+    vertex, the first one after the vertex it last flipped, wrapping to 0,
+    which is the order of repeated sweeps over i = 0, ..., n-1.  At
+    termination no single flip improves, so for a nonnegative zero-diagonal
+    A the cut is at least half the edge weight.
     """
-    xv = np.asarray(x, dtype=float).copy()
-    if xv.shape != (a.n,) or not np.all(np.abs(xv) == 1):
-        raise InputError("x must be a +-1 vector matching the matrix dimension")
-    ax = a.a @ xv
-    flips = 0
-    improved = True
-    while improved:
-        improved = False
-        for i in range(a.n):
-            gain = xv[i] * ax[i]
-            if gain > 0:
-                xv[i] = -xv[i]
-                ax += 2.0 * xv[i] * a.a[:, i]
-                flips += 1
-                improved = True
+    xs = np.array(x, dtype=float, ndmin=2)
+    if xs.shape[1:] != (a.n,) or not np.all(np.abs(xs) == 1):
+        raise InputError("x must be +-1 vectors matching the matrix dimension")
+    if len(xs) == 0:
+        raise InputError("need at least one start")
+    # one gemv per start: the same float sums as a start searched alone
+    ax = np.array([a.a @ row for row in xs])
+    flips = np.zeros(len(xs), dtype=np.int64)
+    cursor = np.zeros((len(xs), 1), dtype=np.intp)
+    live = np.arange(len(xs))  # the starts that may still have a flip
+    col = np.arange(a.n)
+    while len(live):
+        improving = xs[live] * ax[live] > 0
+        ahead = improving & (col >= cursor[live])
+        v = np.where(ahead.any(axis=1), ahead.argmax(axis=1), improving.argmax(axis=1))
+        moved = improving.any(axis=1)
+        live, v = live[moved], v[moved]
+        xs[live, v] = -xs[live, v]
+        # row v of A is column v: SymmetricMatrix is exactly symmetric
+        ax[live] += (2.0 * xs[live, v])[:, None] * a.a[v]
+        flips[live] += 1
+        cursor[live, 0] = v + 1
+    values = [quadratic_surplus(a, row) for row in xs]
+    rows = xs.tolist()
+    best = min(range(len(xs)), key=lambda t: (-values[t], rows[t]))
     return BipartitionResult(
-        x=tuple(int(s) for s in xv),
-        value=quadratic_surplus(a, xv),
-        flips=flips,
+        x=tuple(map(int, rows[best])), value=values[best], flips=int(flips[best])
     )
 
 
@@ -122,6 +135,4 @@ def best_bipartition(
         rng.integers(0, 2, size=n).astype(float) * 2 - 1,
     ]
     candidates += [_signs_from_inner(col, rng) for col in z.T]
-    # ties go to the lexicographically smallest sign vector
-    results = [local_search_1flip(a, cand) for cand in candidates]
-    return min(results, key=lambda r: (-r.value, r.x))
+    return local_search_1flip(a, np.stack(candidates))

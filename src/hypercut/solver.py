@@ -10,13 +10,14 @@ at a time by random part-splitting.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, NumericError
 from .hypergraph import (
     MAX_EDGES,
     Hypergraph,
@@ -76,6 +77,47 @@ class _CutEvaluator:
 
     def value(self, assign: np.ndarray) -> int:
         return int(cut_values(self.h, assign, self.k))
+
+    def expectation_cut(self) -> np.ndarray:
+        """A k-cut at least as large as a uniformly random one's expectation,
+        by the method of conditional expectations: each vertex in turn goes
+        to the part (the lowest on ties) that maximises the expected cut when
+        the later vertices are drawn uniformly.
+
+        Placing v changes the expectation of v's edges only.  Take one whose
+        placed vertices meet s parts, with f vertices still free after v.  If
+        it misses v's part, placing v there gains the chance that the f draws
+        hit the other w = k - s - 1 missing parts but never v's part:
+        sum_j (-1)^j C(w, j) (k-1-j)^f over k^f, by inclusion-exclusion.
+        Scaled by k^(r-1), these gains are exact integers, so ties are exact.
+        """
+        h, k = self.h, self.k
+
+        @functools.cache
+        def gain(s: int, f: int) -> int:
+            w = k - s - 1  # the other missing parts
+            if w < 0 or w > f:  # nothing missing, or out of reach
+                return 0
+            hits, c = 0, 1  # c = (-1)^j C(w, j)
+            for j in range(w + 1):
+                hits += c * (k - 1 - j) ** f
+                c = -c * (w - j) // (j + 1)
+            return k ** (h.r - 1 - f) * hits
+
+        counts = np.zeros((len(h.mult), k), dtype=np.int64)  # edge x placed part
+        free = np.full(len(h.mult), h.r)  # edge x unplaced vertices
+        weight = h.mult.astype(object)
+        assign = np.zeros(h.n, dtype=np.intp)
+        for v in range(h.n):
+            edges = self.inc[v]
+            free[edges] -= 1
+            c = counts[edges]
+            sf = zip((c > 0).sum(axis=1).tolist(), free[edges].tolist())
+            lift = weight[edges] * np.array([gain(*key) for key in sf], dtype=object)
+            score = ((c == 0) * lift[:, None]).sum(axis=0).tolist()
+            assign[v] = b = score.index(max(score))
+            counts[edges, b] += 1
+        return assign
 
     def local_search(self, assign: Sequence[int]) -> np.ndarray:
         """First-improvement moves over (vertex, target part): the next move is
@@ -328,7 +370,8 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
     Guarantees follow the chain only for k in {r-1, r} (and k=2 for graphs
     and 3-graphs, where the 2-cut of a 3-graph halves the underlying
     multigraph's cut exactly); other k fall back to the random + local-search
-    baseline and are flagged in notes.
+    baseline and the conditional-expectation cut, are flagged in notes, and
+    are checked to have a nonnegative surplus.
     """
     if k < 2:
         raise InputError(f"need k >= 2, got k={k}")
@@ -369,6 +412,12 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
         best.offer(ev.value(assign), assign)
     else:
         notes = ("baseline-only: k outside the guaranteed range {r-1, r}",)
+        if k <= h.r:
+            assign = ev.local_search(ev.expectation_cut())
+            best.offer(ev.value(assign), assign)
     rng = np.random.default_rng(_subseed(plan.seed, 5))
     _offer_random(ev, best, [rng] * ((plan.trials + 3) // 4))
-    return KCut.from_assignment(h, best.assignment, k, notes=notes)
+    cut = KCut.from_assignment(h, best.assignment, k, notes=notes)
+    if notes and cut.surplus < 0:  # the expectation cut makes it a theorem
+        raise NumericError(f"baseline-only cut {cut.cut_value} has surplus {cut.surplus} < 0")
+    return cut

@@ -1,5 +1,7 @@
 """Pure-Python reference for the array code: a dict merge, a set-of-parts
-cut counter, the k-way probe search and the line-by-line text parser.  Edges
+cut counter, the k-way probe search, the one-start 1-flip sweep, the
+conditional-expectation cut by enumeration and the line-by-line text parser.
+Edges
 are lists of (vertex tuple, multiplicity) pairs.  Two references keep numpy
 for speed: the full k^(n-1) oracle scan, scored by ``cut_values`` (pinned to
 ``ref_cut`` by its own test), and the one-draw-per-candidate generator."""
@@ -9,7 +11,7 @@ import math
 
 import numpy as np
 
-from hypercut import Hypergraph, InputError, cut_values
+from hypercut import BipartitionResult, Hypergraph, InputError, cut_values, quadratic_surplus
 
 
 def ref_merge(items, key=lambda verts: tuple(sorted(verts))):
@@ -44,6 +46,45 @@ def ref_local_search(edges, n, assign, k):
                     a, improved = moved, True
                     break
     return a
+
+
+def ref_local_search_1flip(a, x):
+    """First-improvement single-sign flips from one start, in sweeps over
+    i = 0, ..., n-1 until a sweep flips nothing."""
+    xv = np.asarray(x, dtype=float).copy()
+    if xv.shape != (a.n,) or not np.all(np.abs(xv) == 1):
+        raise InputError("x must be a +-1 vector matching the matrix dimension")
+    ax = a.a @ xv
+    flips = 0
+    improved = True
+    while improved:
+        improved = False
+        for i in range(a.n):
+            gain = xv[i] * ax[i]
+            if gain > 0:
+                xv[i] = -xv[i]
+                ax += 2.0 * xv[i] * a.a[:, i]
+                flips += 1
+                improved = True
+    return BipartitionResult(
+        x=tuple(int(s) for s in xv),
+        value=quadratic_surplus(a, xv),
+        flips=flips,
+    )
+
+
+def ref_expectation_cut(h, k):
+    """Each vertex in turn to the lowest part that maximises the total cut
+    over every completion of the later vertices, scored by ``cut_values``."""
+    assign = []
+    for v in range(h.n):
+        tails = list(itertools.product(range(k), repeat=h.n - v - 1))
+        totals = [
+            int(cut_values(h, np.array([[*assign, b, *t] for t in tails], dtype=np.intp), k).sum())
+            for b in range(k)
+        ]
+        assign.append(totals.index(max(totals)))
+    return assign
 
 
 def ref_parse(text):

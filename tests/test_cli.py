@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hypercut import degree_profile, load_hypergraph
 from hypercut.cli import main
@@ -337,6 +339,66 @@ def test_generator_size_cap_exit_3_fast(tmp_path, capsys, args):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert "capacity" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # C(1000, 998) = 499,500 edges fit the cap, their 998 * 499,500 ids do not
+        ["gen", "--kind", "complete", "--r", "998", "--n", "1000"],
+        # C(843, 3) = 99,491,141 draws fit the cap, the 3 * C(843, 3) ids at p = 1 do not
+        ["gen", "--kind", "random3", "--n", "843", "--p", "1"],
+    ],
+)
+def test_generator_id_cap_exit_3_fast(tmp_path, capsys, args):
+    start = time.perf_counter()
+    code, err, peak = run_small([*args, "--out", str(tmp_path / "out")], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "capacity" in err
+    assert peak < 5 * 2**20
+    assert not (tmp_path / "out").exists()
+
+
+# Tokens a file may hold in place of a small count: past int64, at its edges,
+# past 2^53, negative, and not integers at all.
+FUZZ_TOKENS = [
+    "99999999999999999999", "9223372036854775807", "-9223372036854775809",
+    "4503599627370496", "1000000", "-1", "-7", "x", "1.5", "0x10", "+2",
+]
+
+
+@st.composite
+def instance_texts(draw):
+    """Headers with r <= 5 and n <= 9 and up to 12 edge lines of r distinct
+    vertices with an optional multiplicity 1-3; in half the texts, also
+    headers and lines of 0 to r + 2 fields that are ids up to n (one past
+    the last vertex) or odd tokens."""
+    r, n = draw(st.integers(0, 5)), draw(st.integers(0, 9))
+    ids = [str(v) for v in range(max(n, r))]
+    good = st.tuples(
+        st.permutations(ids).map(lambda p: p[:r]),
+        st.lists(st.integers(1, 3).map(str), max_size=1),
+    ).map(lambda t: t[0] + t[1])
+    header, line = [str(r), str(n)], good
+    if draw(st.booleans()):
+        token = st.integers(0, n).map(str) | st.sampled_from(FUZZ_TOKENS)
+        header = draw(st.just(header) | st.lists(st.sampled_from(header) | token, max_size=3))
+        odd = st.integers(0, r + 2).flatmap(lambda c: st.lists(token, min_size=c, max_size=c))
+        line = good | good | odd | st.tuples(good, token).map(lambda t: t[0][:r] + [t[1]])
+    lines = draw(st.lists(line, max_size=12))
+    return "\n".join(" ".join(fields) for fields in [header, *lines]) + "\n"
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(instance_texts(), st.integers(2, 6), st.booleans())
+def test_solve_exit_code_fuzz(tmp_path, capsys, text, k, oracle):
+    path = tmp_path / "fuzz.txt"
+    path.write_text(text)
+    args = ["solve", "--file", str(path), "--k", str(k), "--trials", "1"]
+    code, _, _ = run(args + ["--oracle"] * oracle, capsys)
+    assert code in (0, 2, 3)
 
 
 def test_negative_uniformity_exit_2(tmp_path, capsys):

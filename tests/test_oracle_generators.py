@@ -23,7 +23,7 @@ from hypercut import (
     random_cut_coefficient,
     stirling2,
 )
-from hypercut import oracle
+from hypercut import generators, oracle
 
 
 class TestOracle:
@@ -134,6 +134,22 @@ class TestRandomUniform:
         with pytest.raises(InputError):
             gen_random_uniform(3, 8, 1.5, 0)
 
+    @pytest.mark.parametrize("draw", [generators._DRAW, 64])
+    def test_caps_the_kept_vertex_ids(self, draw):
+        """The expected r * m = 3 * C(20, 3) / 2 fits the cap; a draw that
+        keeps more edges is refused, one that keeps exactly that many is not."""
+        total = math.comb(20, 3)
+        draws = {s: gen_random_uniform(3, 20, 0.5, s) for s in range(40)}
+        over = next(s for s, h in draws.items() if h.m > total // 2)
+        at = next(s for s, h in draws.items() if h.m == total // 2)
+        with mock.patch.object(generators, "MAX_CANDIDATES", 3 * total // 2), \
+                mock.patch.object(generators, "_DRAW", draw):
+            with pytest.raises(CapacityError):
+                gen_random_uniform(3, 20, 0.5, over)
+            assert gen_random_uniform(3, 20, 0.5, at) == draws[at]
+            with pytest.raises(CapacityError):
+                gen_random_uniform(3, 20, 0.51, at)  # refused up front
+
     def test_mean_edge_count(self):
         # [DERIVED] m ~ Binomial(C(12,3), 1/12); the 200-seed sample mean
         # must sit within 3 standard errors of C(12,3)/12.
@@ -179,6 +195,14 @@ class TestLinearGenerator:
 
 
 class TestComplete:
+    def test_caps_the_vertex_ids(self):
+        total = math.comb(12, 4)
+        with mock.patch.object(generators, "MAX_CANDIDATES", 4 * total):
+            assert gen_complete(4, 12).m == total
+        with mock.patch.object(generators, "MAX_CANDIDATES", 4 * total - 1):
+            with pytest.raises(CapacityError):
+                gen_complete(4, 12)
+
     def test_edge_counts(self):
         assert gen_complete(2, 7).m == 21
         assert gen_complete(3, 6).m == 20

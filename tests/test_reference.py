@@ -1,8 +1,10 @@
 """Differential tests: every array layer against the pure-Python reference in
 ``reference.py``, on random multi-hypergraphs (r in {2, 3, 4}, n <= 8,
-multiplicities 1-3), the chunked parser against the line-by-line one, the
-growth-string oracle against the full scan, and the chunked generators against
-one draw per candidate."""
+multiplicities 1-3), the lockstep 1-flip search against one sweep loop per
+start, the conditional-expectation cut against enumeration of completions,
+the chunked parser against the line-by-line one, the growth-string oracle
+against the full scan, and the chunked generators against one draw per
+candidate."""
 
 import itertools
 import math
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from hypercut import (
     Hypergraph,
     InputError,
+    SymmetricMatrix,
     brute_force_max_kcut,
     colored_pair_graph,
     cut_size,
@@ -24,17 +27,22 @@ from hypercut import (
     gen_complete,
     gen_random_uniform,
     induced_sub,
+    local_search_1flip,
     parse_hypergraph,
+    random_cut_coefficient,
     sample_and_reduce,
     underlying_multigraph,
 )
 from hypercut import generators, hypergraph, oracle
 from hypercut.solver import _CutEvaluator
+from conftest import random_multigraph, random_symmetric
 from reference import (
     as_items,
     ref_cut,
+    ref_expectation_cut,
     ref_gen_random_uniform,
     ref_local_search,
+    ref_local_search_1flip,
     ref_merge,
     ref_max_kcut,
     ref_parse,
@@ -112,6 +120,55 @@ def test_kway_local_search_matches_reference(h, data):
         assert found == ref_local_search(items, h.n, start, k)
         if k > h.r:  # no edge can meet all k parts: nothing to improve
             assert found == start
+
+
+@st.composite
+def sign_problems(draw):
+    """(matrix, stack): an integer multigraph (multiplicities 1-3) or a
+    non-integer zero-diagonal symmetric matrix on 1-40 vertices, and 1-20
+    +-1 starts, repeats allowed."""
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+        a = SymmetricMatrix.from_pair_graph(random_multigraph(n, seed, density))
+    else:
+        a = random_symmetric(n, seed, zero_diag=True)
+    start = st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)
+    pool = draw(st.lists(start, min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=20))
+    return a, np.array([pool[i] for i in picks])
+
+
+@settings(max_examples=150, deadline=None)
+@given(sign_problems())
+def test_local_search_1flip_matches_reference(problem):
+    """The stacked call returns the reference's best (x, value, flips) by
+    (-value, x); a single start returns the reference's own result."""
+    a, stack = problem
+    results = [ref_local_search_1flip(a, x) for x in stack]
+    assert local_search_1flip(a, stack) == min(results, key=lambda r: (-r.value, r.x))
+    assert local_search_1flip(a, stack[-1]) == results[-1]
+    assert local_search_1flip(a, tuple(stack[0].tolist())) == results[0]
+
+
+def test_local_search_1flip_rejects_bad_stacks():
+    a = SymmetricMatrix.from_pair_graph(random_multigraph(4, seed=1))
+    for bad in (np.empty((0, 4)), np.ones((2, 5)), np.ones((2, 3)), np.ones((1, 2, 4))):
+        with pytest.raises(InputError):
+            local_search_1flip(a, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(rs=(2, 3, 4, 5)), st.data())
+def test_expectation_cut_matches_enumeration(h, data):
+    """Each vertex's part maximises the exact expected cut, and the cut is at
+    least the uniformly random one's expectation."""
+    k = data.draw(st.integers(2, h.r))
+    assume(k ** h.n <= 5**5)
+    found = _CutEvaluator(h, k).expectation_cut().tolist()
+    assert found == ref_expectation_cut(h, k)
+    assert cut_size(h, found, k) >= random_cut_coefficient(h.r, k) * h.m
 
 
 @settings(max_examples=30, deadline=None)

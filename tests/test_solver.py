@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercut import (
     Hypergraph,
@@ -245,6 +247,35 @@ class TestSolveKCut:
         cut = solve_kcut(h, 2, SamplePlan(trials=5, seed=0))
         assert any("baseline" in note for note in cut.notes)
 
+    def test_baseline_only_all_in_one_part_regression(self):
+        # the best random draw put every vertex in one part, where no single
+        # move can cut an edge: cut 0, surplus -1100/81, before the
+        # conditional-expectation cut was offered
+        h = gen_random_uniform(5, 8, 0.3, 271)
+        cut = solve_kcut(h, 3, SamplePlan(trials=1, seed=271))
+        assert cut.surplus >= 0
+        assert cut.cut_value == brute_force_max_kcut(h, 3).cut_value == 22
+
     def test_rejects_small_r(self):
         with pytest.raises(InputError):
             solve_kcut(gen_complete(2, 4), 3, SamplePlan())
+
+
+@st.composite
+def baseline_instances(draw):
+    """(h, k): an r-graph, 4 <= r <= 6, on at most 9 vertices with
+    multiplicities 1-3, and a k in the baseline-only range [2, r - 2]."""
+    r = draw(st.integers(4, 6))
+    n = draw(st.integers(r, 9))
+    edge = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True)
+    items = draw(st.lists(st.tuples(edge.map(tuple), st.integers(1, 3)), max_size=14))
+    return Hypergraph.from_edges(r, n, items), draw(st.integers(2, r - 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(baseline_instances(), st.integers(0, 2**32))
+def test_baseline_only_surplus_nonnegative(instance, seed):
+    h, k = instance
+    cut = solve_kcut(h, k, SamplePlan(trials=1, seed=seed))
+    assert cut.surplus >= 0
+    assert h.m == 0 or any("baseline" in note for note in cut.notes)
