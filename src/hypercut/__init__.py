@@ -20,11 +20,9 @@ from .generators import (
     gen_random_uniform,
 )
 from .hypergraph import (
-    ColoredMultigraph,
     DegreeProfile,
     Hypergraph,
     KCut,
-    colored_pair_graph,
     cut_size,
     cut_values,
     degree_profile,
@@ -50,7 +48,6 @@ from .rounding import (
 from .solver import (
     ReducedInstance,
     SamplePlan,
-    kway_local_search,
     preprocess_heavy,
     reduce_cut_up,
     sample_and_reduce,

@@ -25,7 +25,6 @@ from .generators import (
 )
 from .hypergraph import (
     KCut,
-    colored_pair_graph,
     dump_hypergraph,
     load_hypergraph,
     random_cut_coefficient,
@@ -109,14 +108,13 @@ def _cmd_experiment(args) -> int:
             int(x & (2**63 - 1)) for x in ss.generate_state(2, dtype=np.uint64)
         )
         h = gen_random_3graph(args.n, args.edge_prob, gen_seed)
-        g = colored_pair_graph(h)
-        records = colored_sampling_experiment(g, args.p, args.reps, samp_seed)
+        records = colored_sampling_experiment(h, args.p, args.reps, samp_seed)
         csv = records_to_csv(records)
         rate = sum(rec.passed for rec in records) / len(records)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv)
         print(
-            f"experiment concentration: n={args.n} m={g.m} p={args.p} "
+            f"experiment concentration: n={args.n} m={records[0].m} p={args.p} "
             f"reps={args.reps} pass_rate={rate:.3f} -> {args.out}"
         )
     else:

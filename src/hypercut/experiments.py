@@ -3,6 +3,7 @@ scaling, with CSV emission for offline analysis."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError
 from .generators import gen_random_3graph
-from .hypergraph import ColoredMultigraph
+from .hypergraph import Hypergraph, degree_profile
 from .solver import SamplePlan, solve_3cut_auto
 from .spectral import SymmetricMatrix, adjacency, eigen_decompose
 
@@ -34,18 +35,7 @@ class ExperimentRecord:
     passed: bool
 
 
-RECORD_COLUMNS = (
-    "rep",
-    "n",
-    "m",
-    "p",
-    "max_degree",
-    "color_degree_bound",
-    "norm_dev",
-    "energy_dev",
-    "threshold",
-    "passed",
-)
+RECORD_COLUMNS = tuple(f.name for f in dataclasses.fields(ExperimentRecord))
 
 
 def _check_reps(reps: int) -> None:
@@ -56,36 +46,43 @@ def _check_reps(reps: int) -> None:
 
 
 def colored_sampling_experiment(
-    g: ColoredMultigraph,
+    h: Hypergraph,
     p: float,
     reps: int,
     seed: int,
 ) -> list[ExperimentRecord]:
-    """Sample color classes with probability p and measure how far the sampled
-    adjacency B strays from its expectation pA, against the concentration
-    threshold t = 20 ln(m) sqrt(max_degree * color_degree_bound)."""
+    """Color each pair of every edge of the 3-graph h by the edge's third
+    vertex, sample color classes with probability p, and measure how far the
+    sampled pair adjacency B strays from its expectation pA, against the
+    concentration threshold t = 20 ln(m) sqrt(max_degree * color_degree_bound)
+    of the colored pair multigraph, whose m is 3 * h.m."""
+    if h.r != 3:
+        raise InputError(f"colored sampling needs r=3, got r={h.r}")
     if not (0.0 < p <= 1.0):
         raise InputError(f"probability must be in (0,1], got {p}")
     _check_reps(reps)
-    a = SymmetricMatrix.from_colored(g).a
-    colors, color_of_edge = np.unique(g.edges[:, 2], return_inverse=True)
-    delta = g.max_degree()
-    dcol = g.max_color_degree()
-    m = g.m
+    # (u, v, color) rows need no merge: each names its edge {u, v, color}.
+    rows = h.edges[:, [[0, 1, 2], [0, 2, 1], [1, 2, 0]]].reshape(-1, 3)
+    mult = np.repeat(h.mult, 3)
+    a = adjacency(h.n, rows[:, :2], mult)
+    colors, color_of_edge = np.unique(rows[:, 2], return_inverse=True)
+    profile = degree_profile(h)
+    delta = 2 * profile.max_degree  # v ends two of the three pairs of each of its edges
+    dcol = profile.max_codegree  # v has one pair of color c per edge holding v and c
+    m = 3 * h.m
     threshold = 20.0 * math.log(m) * math.sqrt(delta * dcol) if m >= 1 else 0.0
     rng = np.random.default_rng(seed)
     records = []
     for rep in range(reps):
         chosen = (rng.random(len(colors)) < p)[color_of_edge]
-        b = adjacency(g.n, g.edges[chosen, :2], g.mult[chosen])
-        dev = p * a - b
-        dec = eigen_decompose(SymmetricMatrix((dev + dev.T) / 2))
+        b = adjacency(h.n, rows[chosen, :2], mult[chosen])
+        dec = eigen_decompose(SymmetricMatrix(p * a - b))
         norm_dev = dec.spectral_radius
         energy_dev = float(np.sum(np.abs(dec.eigenvalues)))
         records.append(
             ExperimentRecord(
                 rep=rep,
-                n=g.n,
+                n=h.n,
                 m=m,
                 p=p,
                 max_degree=delta,
@@ -99,17 +96,18 @@ def colored_sampling_experiment(
     return records
 
 
-def records_to_csv(records: list[ExperimentRecord]) -> str:
-    lines = [",".join(RECORD_COLUMNS)]
-    for rec in records:
-        lines.append(
-            ",".join(
-                repr(getattr(rec, col)) if col not in ("passed",)
-                else str(int(rec.passed))
-                for col in RECORD_COLUMNS
-            )
-        )
+def _to_csv(columns: tuple[str, ...], rows: list) -> str:
+    """A header line, then one line per row: bools as 0/1, every other value
+    by its repr."""
+    lines = [",".join(columns)]
+    for row in rows:
+        values = (getattr(row, col) for col in columns)
+        lines.append(",".join(str(int(v)) if isinstance(v, bool) else repr(v) for v in values))
     return "\n".join(lines) + "\n"
+
+
+def records_to_csv(records: list[ExperimentRecord]) -> str:
+    return _to_csv(RECORD_COLUMNS, records)
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ class ScalingRow:
     surplus: float
 
 
-SCALING_COLUMNS = ("n", "rep", "m", "cut_value", "surplus")
+SCALING_COLUMNS = tuple(f.name for f in dataclasses.fields(ScalingRow))
 
 
 def surplus_scaling_study(
@@ -163,10 +161,7 @@ def surplus_scaling_study(
 
 
 def scaling_to_csv(rows: list[ScalingRow]) -> str:
-    lines = [",".join(SCALING_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(repr(getattr(row, col)) for col in SCALING_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return _to_csv(SCALING_COLUMNS, rows)
 
 
 def fit_loglog_slope(points: list[tuple[float, float]]) -> float:

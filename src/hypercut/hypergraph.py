@@ -70,34 +70,32 @@ def _merge(rows: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, mult
 
 
-def _canonicalise(g, cols: int, width: int) -> None:
-    """Validate ``g.edges`` ((d, cols) rows whose first ``width`` columns are
-    distinct vertices) and ``g.mult``, then store them sorted and merged."""
+def _canonicalise(h) -> None:
+    """Validate ``h.edges`` ((d, r) rows of distinct vertices) and ``h.mult``,
+    then store them sorted and merged."""
     try:
-        rows, mult = np.asarray(g.edges, dtype=np.int64), np.asarray(g.mult, dtype=np.int64)
+        rows, mult = np.asarray(h.edges, dtype=np.int64), np.asarray(h.mult, dtype=np.int64)
     except (OverflowError, ValueError, TypeError) as exc:
         raise InputError(f"edges and multiplicities must be int64 values: {exc}") from None
-    rows = rows.reshape(0, cols) if rows.size == 0 else rows
-    if rows.ndim != 2 or rows.shape[1] != cols or mult.shape != (len(rows),):
-        raise InputError(f"edges must be rows of {width} vertices, one multiplicity each")
-    verts = rows[:, :width]
+    rows = rows.reshape(0, h.r) if rows.size == 0 else rows
+    if rows.ndim != 2 or rows.shape[1] != h.r or mult.shape != (len(rows),):
+        raise InputError(f"edges must be rows of {h.r} vertices, one multiplicity each")
+    verts = rows
     if not (verts[:, 1:] > verts[:, :-1]).all():  # sort only rows that need it
         verts = np.sort(verts, axis=1)
         if (verts[:, 1:] == verts[:, :-1]).any():
             bad = rows[(verts[:, 1:] == verts[:, :-1]).any(axis=1)][0]
             raise InputError(f"edge {tuple(bad.tolist())} repeats a vertex")
-    if len(rows) and (verts[:, 0].min() < 0 or verts[:, -1].max() >= g.n):
-        raise InputError(f"an edge leaves the vertex range [0, {g.n})")
+    if len(rows) and (verts[:, 0].min() < 0 or verts[:, -1].max() >= h.n):
+        raise InputError(f"an edge leaves the vertex range [0, {h.n})")
     if len(mult) and mult.min() < 1:
         raise InputError(f"multiplicity must be >= 1, got {mult.min()}")
     # The float sum screens out totals that would wrap the exact int64 sum.
     if mult.sum(dtype=np.float64) > 2 * MAX_EDGES or int(mult.sum()) > MAX_EDGES:
         raise InputError(f"total multiplicity exceeds 2^53 = {MAX_EDGES}")
-    if cols > width:
-        verts = np.concatenate([verts, rows[:, width:]], axis=1)
     rows, mult = _merge(verts, mult)
-    object.__setattr__(g, "edges", rows)
-    object.__setattr__(g, "mult", mult)
+    object.__setattr__(h, "edges", rows)
+    object.__setattr__(h, "mult", mult)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +120,7 @@ class Hypergraph:
             )
         if self.n < 0:
             raise InputError(f"vertex count must be >= 0, got {self.n}")
-        _canonicalise(self, self.r, self.r)
+        _canonicalise(self)
 
     @classmethod
     def from_edges(cls, r: int, n: int, edges: Iterable) -> "Hypergraph":
@@ -149,33 +147,6 @@ class Hypergraph:
         return int(self.mult.sum())
 
 
-@dataclass(frozen=True, eq=False)
-class ColoredMultigraph:
-    """Pair-multigraph whose edges carry a color (a vertex id).
-
-    ``edges`` rows are (u, v, color) with u < v, distinct and in
-    lexicographic order; ``mult`` holds their multiplicities.
-    """
-
-    n: int
-    edges: np.ndarray  # (d, 3) intp
-    mult: np.ndarray  # (d,) int64
-
-    def __post_init__(self) -> None:
-        _canonicalise(self, 3, 2)
-
-    @property
-    def m(self) -> int:
-        return int(self.mult.sum())
-
-    def max_degree(self) -> int:
-        return _max_merged(self.edges[:, [[0], [1]]], self.mult)
-
-    def max_color_degree(self) -> int:
-        """Largest count of same-colored edge endpoints at a single vertex."""
-        return _max_merged(self.edges[:, [[0, 2], [1, 2]]], self.mult)
-
-
 def _max_merged(rows: np.ndarray, mult: np.ndarray) -> int:
     """Largest merged multiplicity of ``rows`` (shape (d, j, w)), where each
     of the j sub-rows of edge i carries mult[i]."""
@@ -187,8 +158,6 @@ def _max_merged(rows: np.ndarray, mult: np.ndarray) -> int:
 class DegreeProfile:
     max_degree: int
     max_codegree: int
-    m: int
-    n: int
 
 
 @dataclass(frozen=True)
@@ -247,14 +216,13 @@ def cut_size(h: Hypergraph, assignment: Sequence[int], k: int) -> int:
 
 def surplus_of_cut(h: Hypergraph, cut: KCut) -> Fraction:
     """Exact surplus of a cut; recomputes and cross-checks the stored value."""
-    value = cut_size(h, cut.assignment, cut.k)
-    if value != cut.cut_value:
+    fresh = KCut.from_assignment(h, cut.assignment, cut.k)
+    if fresh.cut_value != cut.cut_value:
         raise InputError(
             f"cut is inconsistent with the hypergraph: stored value "
-            f"{cut.cut_value}, recomputed {value}"
+            f"{cut.cut_value}, recomputed {fresh.cut_value}"
         )
-    coeff = random_cut_coefficient(h.r, cut.k) if 2 <= cut.k <= h.r else Fraction(0)
-    return Fraction(value) - coeff * h.m
+    return fresh.surplus
 
 
 def _subsets(h: Hypergraph, q: int) -> np.ndarray:
@@ -271,22 +239,11 @@ def underlying_multigraph(h: Hypergraph, q: int) -> Hypergraph:
     return Hypergraph(q, h.n, subs.reshape(-1, q), np.repeat(h.mult, subs.shape[1]))
 
 
-def colored_pair_graph(h: Hypergraph) -> ColoredMultigraph:
-    """View a 3-graph as a pair-multigraph, coloring each pair by the removed
-    third vertex of the originating edge."""
-    if h.r != 3:
-        raise InputError(f"colored pair graph needs r=3, got r={h.r}")
-    rows = h.edges[:, [[0, 1, 2], [0, 2, 1], [1, 2, 0]]].reshape(-1, 3)
-    return ColoredMultigraph(h.n, rows, np.repeat(h.mult, 3))
-
-
 def degree_profile(h: Hypergraph) -> DegreeProfile:
     """Maximum degree and maximum co-degree (over (r-1)-subsets)."""
     return DegreeProfile(
         max_degree=_max_merged(_subsets(h, 1), h.mult),
         max_codegree=_max_merged(_subsets(h, h.r - 1), h.mult),
-        m=h.m,
-        n=h.n,
     )
 
 

@@ -170,10 +170,6 @@ class _CutEvaluator:
         np.add.at(win.reshape(-1), rows[e, j] * win.shape[1] + c.argmin(axis=1)[e], w[e])
 
 
-def kway_local_search(h: Hypergraph, assignment: Sequence[int], k: int) -> tuple[int, ...]:
-    return tuple(int(x) for x in _CutEvaluator(h, k).local_search(assignment))
-
-
 class _Best:
     """Maximum by value, ties broken by lexicographically smallest assignment."""
 

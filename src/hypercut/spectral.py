@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .hypergraph import ColoredMultigraph, Hypergraph
+from .hypergraph import Hypergraph
 
 # Relative tolerance of the residual check, the negativity margin and the
 # trace check.
@@ -55,11 +55,6 @@ class SymmetricMatrix:
         if h.r != 2:
             raise InputError(f"adjacency matrix needs r=2, got r={h.r}")
         return cls(adjacency(h.n, h.edges, h.mult))
-
-    @classmethod
-    def from_colored(cls, g: ColoredMultigraph) -> "SymmetricMatrix":
-        """Adjacency of a colored multigraph, colors summed out."""
-        return cls(adjacency(g.n, g.edges[:, :2], g.mult))
 
 
 @dataclass(frozen=True)

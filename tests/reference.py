@@ -28,7 +28,7 @@ def ref_cut(edges, assign, k):
 
 
 def as_items(g):
-    """The (vertex tuple, multiplicity) pairs of a Hypergraph or ColoredMultigraph."""
+    """The (vertex tuple, multiplicity) pairs of a Hypergraph."""
     return list(zip(map(tuple, g.edges.tolist()), g.mult.tolist()))
 
 

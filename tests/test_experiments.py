@@ -6,51 +6,91 @@ import numpy as np
 import pytest
 
 from hypercut import (
+    Hypergraph,
     InputError,
     RECORD_COLUMNS,
     SCALING_COLUMNS,
-    colored_pair_graph,
+    ExperimentRecord,
+    ScalingRow,
     colored_sampling_experiment,
+    degree_profile,
     eigen_decompose,
     fit_loglog_slope,
+    gen_complete,
     gen_random_3graph,
     records_to_csv,
     scaling_to_csv,
     surplus_scaling_study,
+    underlying_multigraph,
 )
 from hypercut.spectral import SymmetricMatrix
 
 
-def _colored(n=20, p_edge=0.1, seed=0):
-    return colored_pair_graph(gen_random_3graph(n, p_edge, seed))
+def _graph(n=20, p_edge=0.1, seed=0):
+    return gen_random_3graph(n, p_edge, seed)
+
+
+def _fields(h):
+    """(m, max_degree, color_degree_bound) of h's colored pair graph."""
+    rec = colored_sampling_experiment(h, 1.0, reps=1, seed=0)[0]
+    return rec.m, rec.max_degree, rec.color_degree_bound
+
+
+class TestColoredPairGraph:
+    """The colored pair graph the experiment samples: the pairs of every
+    edge of a 3-graph, each colored by the edge's third vertex."""
+
+    def test_single_edge(self):
+        assert _fields(Hypergraph.from_edges(3, 3, [(0, 1, 2)])) == (3, 2, 1)
+
+    def test_multiplicity(self):
+        assert _fields(Hypergraph.from_edges(3, 3, [((0, 1, 2), 2)])) == (6, 4, 2)
+
+    def test_shared_pair_two_colors(self):
+        # Pair 01 once in color 2 and once in color 3; vertex 0 ends pairs
+        # 01, 02 of the first edge and 01, 03 of the second, two in color 1.
+        assert _fields(Hypergraph.from_edges(3, 4, [(0, 1, 2), (0, 1, 3)])) == (6, 4, 2)
+
+    def test_needs_r3(self):
+        for h in (gen_complete(2, 3), gen_complete(4, 5)):
+            with pytest.raises(InputError):
+                colored_sampling_experiment(h, 0.5, reps=1, seed=0)
+
+    def test_color_degree_bounded_by_codegree(self):
+        for seed in range(5):
+            h = gen_random_3graph(10, 0.3, seed)
+            if h.m == 0:
+                continue
+            assert _fields(h)[2] <= degree_profile(h).max_codegree
 
 
 class TestColoredSampling:
     def test_record_fields(self):
-        g = _colored()
-        recs = colored_sampling_experiment(g, 1.0 / 3.0, reps=4, seed=1)
+        h = _graph()
+        prof = degree_profile(h)
+        recs = colored_sampling_experiment(h, 1.0 / 3.0, reps=4, seed=1)
         assert len(recs) == 4
         assert [r.rep for r in recs] == [0, 1, 2, 3]
         for r in recs:
-            assert r.n == g.n and r.m == g.m
-            assert r.max_degree == g.max_degree()
-            assert r.color_degree_bound == g.max_color_degree()
-            expected_t = 20.0 * math.log(g.m) * math.sqrt(
-                g.max_degree() * g.max_color_degree()
+            assert r.n == h.n and r.m == 3 * h.m
+            assert r.max_degree == 2 * prof.max_degree
+            assert r.color_degree_bound == prof.max_codegree
+            expected_t = 20.0 * math.log(3 * h.m) * math.sqrt(
+                2 * prof.max_degree * prof.max_codegree
             )
             assert r.threshold == pytest.approx(expected_t)
             assert r.passed == (r.norm_dev <= r.threshold)
             assert r.norm_dev <= r.energy_dev + 1e-9
 
     def test_reproducible(self):
-        g = _colored()
-        a = colored_sampling_experiment(g, 0.3, reps=3, seed=7)
-        b = colored_sampling_experiment(g, 0.3, reps=3, seed=7)
+        h = _graph()
+        a = colored_sampling_experiment(h, 0.3, reps=3, seed=7)
+        b = colored_sampling_experiment(h, 0.3, reps=3, seed=7)
         assert a == b
 
     def test_p_one_has_zero_deviation(self):
         # With p = 1 every color class is kept, so B = A exactly.
-        recs = colored_sampling_experiment(_colored(), 1.0, reps=2, seed=0)
+        recs = colored_sampling_experiment(_graph(), 1.0, reps=2, seed=0)
         for r in recs:
             assert r.norm_dev <= 1e-9
             assert r.energy_dev <= 1e-9
@@ -58,24 +98,25 @@ class TestColoredSampling:
 
     def test_small_p_deviation_near_pa(self):
         # As p -> 0 almost every rep keeps nothing, so pA - B ~ pA and the
-        # measured norm falls to p * ||A||.
-        g = _colored()
-        radius = eigen_decompose(SymmetricMatrix.from_colored(g)).spectral_radius
-        recs = colored_sampling_experiment(g, 1e-6, reps=3, seed=5)
+        # measured norm falls to p * ||A||, A the pair graph's adjacency.
+        h = _graph()
+        a = SymmetricMatrix.from_pair_graph(underlying_multigraph(h, 2))
+        radius = eigen_decompose(a).spectral_radius
+        recs = colored_sampling_experiment(h, 1e-6, reps=3, seed=5)
         for r in recs:
             assert r.norm_dev == pytest.approx(1e-6 * radius, rel=1e-6)
 
     def test_rejects_bad_parameters(self):
-        g = _colored()
+        h = _graph()
         with pytest.raises(InputError):
-            colored_sampling_experiment(g, 0.0, reps=1, seed=0)
+            colored_sampling_experiment(h, 0.0, reps=1, seed=0)
         with pytest.raises(InputError):
-            colored_sampling_experiment(g, 1.5, reps=1, seed=0)
+            colored_sampling_experiment(h, 1.5, reps=1, seed=0)
         with pytest.raises(InputError):
-            colored_sampling_experiment(g, 0.3, reps=0, seed=0)
+            colored_sampling_experiment(h, 0.3, reps=0, seed=0)
 
     def test_csv_shape(self):
-        recs = colored_sampling_experiment(_colored(), 0.3, reps=5, seed=2)
+        recs = colored_sampling_experiment(_graph(), 0.3, reps=5, seed=2)
         text = records_to_csv(recs)
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(RECORD_COLUMNS)
@@ -83,6 +124,12 @@ class TestColoredSampling:
         for line in lines[1:]:
             assert len(line.split(",")) == len(RECORD_COLUMNS)
         assert lines[1].split(",")[-1] in ("0", "1")
+
+    def test_csv_text(self):
+        rec = ExperimentRecord(0, 3, 3, 0.5, 2, 1, 0.25, 1.0, 0.0, True)
+        assert records_to_csv([rec]).split("\n")[1:] == ["0,3,3,0.5,2,1,0.25,1.0,0.0,1", ""]
+        row = ScalingRow(n=9, rep=1, m=4, cut_value=3, surplus=0.5)
+        assert scaling_to_csv([row]) == "n,rep,m,cut_value,surplus\n9,1,4,3,0.5\n"
 
 
 class TestScalingStudy:

@@ -10,12 +10,10 @@ from hypercut import (
     InputError,
     KCut,
     brute_force_max_kcut,
-    colored_pair_graph,
     cut_size,
     degree_profile,
     format_hypergraph,
     gen_complete,
-    gen_random_3graph,
     gen_random_linear_3graph,
     gen_random_uniform,
     induced_sub,
@@ -152,34 +150,6 @@ class TestUnderlyingMultigraph:
     @given(small_hypergraphs)
     def test_edge_count_identity(self, h):
         assert underlying_multigraph(h, 2).m == 3 * h.m
-
-
-class TestColoredPairGraph:
-    def test_single_edge(self):
-        g = colored_pair_graph(TRIPLE)
-        assert g.edges.tolist() == [[0, 1, 2], [0, 2, 1], [1, 2, 0]]
-        assert g.mult.tolist() == [1, 1, 1]
-
-    def test_multiplicity(self):
-        h = Hypergraph.from_edges(3, 3, [((0, 1, 2), 2)])
-        assert colored_pair_graph(h).mult.tolist() == [2, 2, 2]
-
-    def test_shared_pair_two_colors(self):
-        h = Hypergraph.from_edges(3, 4, [(0, 1, 2), (0, 1, 3)])
-        colors_01 = {c for u, v, c in colored_pair_graph(h).edges.tolist() if (u, v) == (0, 1)}
-        assert colors_01 == {2, 3}
-
-    def test_needs_r3(self):
-        with pytest.raises(InputError):
-            colored_pair_graph(gen_complete(2, 3))
-
-    def test_color_degree_bounded_by_codegree(self):
-        for seed in range(5):
-            h = gen_random_3graph(10, 0.3, seed)
-            if h.m == 0:
-                continue
-            g = colored_pair_graph(h)
-            assert g.max_color_degree() <= degree_profile(h).max_codegree
 
 
 class TestDegreeProfile:

@@ -20,7 +20,7 @@ from hypercut import (
     InputError,
     SymmetricMatrix,
     brute_force_max_kcut,
-    colored_pair_graph,
+    colored_sampling_experiment,
     cut_size,
     cut_values,
     degree_profile,
@@ -257,15 +257,24 @@ def test_sample_and_reduce_matches_reference(h, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(graphs(rs=(3,)))
-def test_colored_pair_graph_matches_reference(h):
-    g = colored_pair_graph(h)
+@given(graphs(rs=(3,)), st.sampled_from([0.3, 0.7, 1.0]), st.integers(0, 2**16))
+def test_colored_sampling_matches_reference(h, p, seed):
+    """The colored pair graph's m, degree maxima and sampled deviation: its
+    rows are the three (pair, third vertex) rotations of every edge."""
     rows = [(row, m) for (a, b, c), m in as_items(h) for row in ((a, b, c), (a, c, b), (b, c, a))]
-    assert as_items(g) == ref_merge(rows, key=tuple)
-    ends = [((w,), m) for (u, v, _), m in as_items(g) for w in (u, v)]
-    colored_ends = [((w, c), m) for (u, v, c), m in as_items(g) for w in (u, v)]
-    assert g.max_degree() == max((m for _, m in ref_merge(ends)), default=0)
-    assert g.max_color_degree() == max((m for _, m in ref_merge(colored_ends, key=tuple)), default=0)
+    rows = ref_merge(rows, key=tuple)
+    ends = [((w,), m) for (u, v, _), m in rows for w in (u, v)]
+    colored_ends = [((w, c), m) for (u, v, c), m in rows for w in (u, v)]
+    colors = sorted({c for (_, _, c), _ in rows})
+    kept = {c for c, u in zip(colors, np.random.default_rng(seed).random(len(colors))) if u < p}
+    dev = np.zeros((h.n, h.n))
+    for (u, v, c), m in rows:
+        dev[[u, v], [v, u]] += p * m - (m if c in kept else 0)
+    rec = colored_sampling_experiment(h, p, reps=1, seed=seed)[0]
+    assert rec.m == sum(m for _, m in rows)
+    assert rec.max_degree == max((m for _, m in ref_merge(ends)), default=0)
+    assert rec.color_degree_bound == max((m for _, m in ref_merge(colored_ends, key=tuple)), default=0)
+    assert rec.norm_dev == pytest.approx(np.abs(np.linalg.eigvalsh(dev)).max(), abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,7 +17,6 @@ from hypercut import (
     gen_random_3graph,
     gen_random_linear_3graph,
     gen_random_uniform,
-    kway_local_search,
     preprocess_heavy,
     random_cut_coefficient,
     reduce_cut_up,
@@ -26,6 +25,7 @@ from hypercut import (
     solve_3cut_auto,
     solve_kcut,
 )
+from hypercut.solver import _CutEvaluator
 
 TRIPLE = Hypergraph.from_edges(3, 3, [(0, 1, 2)])
 
@@ -207,7 +207,7 @@ class TestReduceCutUp:
 class TestKWayLocalSearch:
     def test_improves_to_local_optimum(self):
         h = gen_complete(3, 6)
-        assign = kway_local_search(h, [0] * 6, 3)
+        assign = _CutEvaluator(h, 3).local_search([0] * 6)
         value = cut_size(h, assign, 3)
         # no single move may improve
         for v in range(6):
