@@ -101,6 +101,7 @@ def gen_random_linear_3graph(
         )
     if n < 3 and target_m > 0:
         raise InputError("need at least 3 vertices for any triple")
+    _check_ids(3, target_m)
     rng = np.random.default_rng(seed)
     used_pairs: set[tuple[int, int]] = set()
     edges: list[tuple[int, int, int]] = []

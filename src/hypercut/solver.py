@@ -11,6 +11,7 @@ at a time by random part-splitting.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -27,7 +28,7 @@ from .hypergraph import (
     induced_sub,
     underlying_multigraph,
 )
-from .oracle import CAPACITY
+from .oracle import _CELLS, CAPACITY
 from .rounding import best_bipartition
 from .spectral import SymmetricMatrix
 
@@ -37,6 +38,7 @@ MAX_VERTICES = 10_000
 # Largest sampling budget: solve_3cut spawns one seed per trial up front.
 MAX_TRIALS = 10_000
 SAMPLE_P = 1.0 / 3.0  # probability that a vertex joins the sampled set X
+_BASELINE_NOTE = "baseline-only: k outside the guaranteed range {r-1, r}"
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,23 @@ class _CutEvaluator:
         ends = np.cumsum(np.bincount(h.edges.ravel(), minlength=h.n))
         self.inc = np.split(by_vertex, ends[:-1])
 
-    def value(self, assign: np.ndarray) -> int:
-        return int(cut_values(self.h, assign, self.k))
+    def value(self, assign: np.ndarray) -> np.ndarray:
+        """Cut size of an (n,) assignment, or of each row of a (c, n) stack."""
+        return cut_values(self.h, assign, self.k)
+
+    def best(self, rows: Iterable) -> np.ndarray:
+        """The row with the largest cut, ties to the lexicographically
+        smallest, so the pick does not depend on the rows' order.  ``rows`` is
+        a (c, n) array or any iterable of (n,) rows, scored in chunks that
+        bound the memory as the oracle's do."""
+        chunk = max(1, _CELLS // max(self.h.edges.size, self.h.n, 1))
+        rows, top, win = iter(rows), -1, []
+        while len(block := np.array(list(itertools.islice(rows, chunk)), dtype=np.intp)):
+            vals = self.value(block)
+            if vals.max() > top:
+                top, win = vals.max(), []
+            win = [min(win + block[vals == top].tolist())]  # lists compare lexicographically
+        return np.array(win[0], dtype=np.intp)
 
     def expectation_cut(self) -> np.ndarray:
         """A k-cut at least as large as a uniformly random one's expectation,
@@ -170,24 +187,6 @@ class _CutEvaluator:
         np.add.at(win.reshape(-1), rows[e, j] * win.shape[1] + c.argmin(axis=1)[e], w[e])
 
 
-class _Best:
-    """Maximum by value, ties broken by lexicographically smallest assignment."""
-
-    def __init__(self) -> None:
-        self.value: int | None = None
-        self.assignment: tuple[int, ...] | None = None
-
-    def offer(self, value: int, assignment) -> None:
-        tup = tuple(int(x) for x in assignment)
-        if (
-            self.value is None
-            or value > self.value
-            or (value == self.value and tup < self.assignment)
-        ):
-            self.value = value
-            self.assignment = tup
-
-
 def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:
     """Collapse hyperedges with exactly one vertex in X onto their free pair,
     so that e_H(X, Y, Z) = e_{G*}(Y, Z) for every bipartition (Y, Z) of the rest."""
@@ -213,50 +212,41 @@ def _trivial_cut(h: Hypergraph, k: int, notes: tuple[str, ...] = ()) -> KCut:
     return KCut.from_assignment(h, [0] * h.n, k, notes=notes)
 
 
-def _offer_random(ev: _CutEvaluator, best: _Best, rngs) -> None:
-    """Offer one uniformly random k-cut per generator in ``rngs``, and the
-    best of them after k-way local search, so ``best`` never trails the
-    random baseline."""
-    best_random = _Best()
-    for rng in rngs:
-        assign = rng.integers(0, ev.k, size=ev.h.n).astype(np.intp)
-        val = ev.value(assign)
-        best.offer(val, assign)
-        best_random.offer(val, assign)
-    polished = ev.local_search(best_random.assignment)
-    best.offer(ev.value(polished), polished)
+def _sampled_cut(h: Hypergraph, rng: np.random.Generator) -> np.ndarray:
+    """One trial of solve_3cut: X = the sampled vertices, and the rounded
+    2-cut (Y, Z) of the pair graph that X collapses the rest onto."""
+    sampled = np.flatnonzero(rng.random(h.n) < SAMPLE_P)
+    red = sample_and_reduce(h, sampled)
+    assign = np.full(h.n, 1, dtype=np.intp)
+    assign[sampled] = 0
+    if red.pair_graph.m > 0:
+        a = SymmetricMatrix.from_pair_graph(red.pair_graph)
+        bp = best_bipartition(a, seed=int(rng.integers(0, 2**63)))
+        signs = np.asarray(bp.x)
+        rest = np.asarray(red.rest, dtype=np.intp)
+        assign[rest[signs < 0]] = 2
+    return assign
 
 
 def solve_3cut(h: Hypergraph, plan: SamplePlan) -> KCut:
     """Sampling + spectral rounding for the max 3-cut of a 3-graph.
 
-    Every run also scores ceil(trials/4) uniformly random tripartitions and a
-    locally optimized one, so the result never trails the random baseline.
+    Every run also scores ceil(trials/4) uniformly random tripartitions and
+    the best of them after k-way search, so the result never trails the
+    random baseline; the winner gets one more k-way search.
     """
     if h.r != 3:
         raise InputError(f"solve_3cut needs r=3, got r={h.r}")
     if h.n == 0 or h.m == 0:
         return _trivial_cut(h, 3)
     ev = _CutEvaluator(h, 3)
-    best = _Best()
     children = np.random.SeedSequence(plan.seed).spawn(plan.trials + (plan.trials + 3) // 4)
-    for t in range(plan.trials):
-        rng = np.random.default_rng(children[t])
-        sampled = np.flatnonzero(rng.random(h.n) < SAMPLE_P)
-        red = sample_and_reduce(h, sampled)
-        assign = np.full(h.n, 1, dtype=np.intp)
-        assign[sampled] = 0
-        if red.pair_graph.m > 0:
-            a = SymmetricMatrix.from_pair_graph(red.pair_graph)
-            bp = best_bipartition(a, seed=int(rng.integers(0, 2**63)))
-            signs = np.asarray(bp.x)
-            rest = np.asarray(red.rest, dtype=np.intp)
-            assign[rest[signs < 0]] = 2
-        best.offer(ev.value(assign), assign)
-    _offer_random(ev, best, map(np.random.default_rng, children[plan.trials:]))
-    final = ev.local_search(best.assignment)
-    best.offer(ev.value(final), final)
-    return KCut.from_assignment(h, best.assignment, 3)
+    rand = ev.best(
+        np.random.default_rng(seq).integers(0, 3, size=h.n) for seq in children[plan.trials:]
+    )
+    cuts = (_sampled_cut(h, np.random.default_rng(seq)) for seq in children[:plan.trials])
+    winner = ev.best(itertools.chain(cuts, [rand, ev.local_search(rand)]))
+    return KCut.from_assignment(h, ev.local_search(winner), 3)
 
 
 def preprocess_heavy(
@@ -309,17 +299,14 @@ def solve_3cut_auto(h: Hypergraph, plan: SamplePlan) -> KCut:
     if len(w) == h.n or h.m == 0:
         return direct
     sub, ids = induced_sub(h, w)
-    best = _Best()
-    best.offer(direct.cut_value, direct.assignment)
-    if sub.m > 0:
-        part = solve_3cut(sub, SamplePlan(trials=plan.trials, seed=_subseed(plan.seed, 1)))
-        rng = np.random.default_rng(_subseed(plan.seed, 2))
-        assign = rng.integers(0, 3, size=h.n).astype(np.intp)
-        assign[list(ids)] = part.assignment
-        ev = _CutEvaluator(h, 3)
-        assign = ev.local_search(assign)
-        best.offer(ev.value(assign), assign)
-    return KCut.from_assignment(h, best.assignment, 3)
+    if sub.m == 0:
+        return direct
+    part = solve_3cut(sub, SamplePlan(trials=plan.trials, seed=_subseed(plan.seed, 1)))
+    rng = np.random.default_rng(_subseed(plan.seed, 2))
+    assign = rng.integers(0, 3, size=h.n).astype(np.intp)
+    assign[list(ids)] = part.assignment
+    ev = _CutEvaluator(h, 3)
+    return KCut.from_assignment(h, ev.best([direct.assignment, ev.local_search(assign)]), 3)
 
 
 def reduce_cut_up(h: Hypergraph, cut: KCut, trials: int, seed: int) -> KCut:
@@ -335,12 +322,8 @@ def reduce_cut_up(h: Hypergraph, cut: KCut, trials: int, seed: int) -> KCut:
     ev = _CutEvaluator(h, r)
     base = np.asarray(cut.assignment, dtype=np.intp)
     rng = np.random.default_rng(seed)
-    best = _Best()
-    for _ in range(trials):
-        mask = rng.random(h.n) < 1.0 / r
-        assign = np.where(mask, r - 1, base)
-        best.offer(ev.value(assign), assign)
-    return KCut.from_assignment(h, best.assignment, r)
+    draws = (np.where(rng.random(h.n) < 1.0 / r, r - 1, base) for _ in range(trials))
+    return KCut.from_assignment(h, ev.best(draws), r)
 
 
 def _check_chain(h: Hypergraph) -> None:
@@ -367,7 +350,8 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
     and 3-graphs, where the 2-cut of a 3-graph halves the underlying
     multigraph's cut exactly); other k fall back to the random + local-search
     baseline and the conditional-expectation cut, are flagged in notes, and
-    are checked to have a nonnegative surplus.
+    are checked to have a nonnegative surplus.  For k > r every cut is 0,
+    and the all-zero assignment comes back flagged.
     """
     if k < 2:
         raise InputError(f"need k >= 2, got k={k}")
@@ -379,19 +363,19 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
         )
     if h.n == 0 or h.m == 0:
         return _trivial_cut(h, k)
+    if k > h.r:  # no edge can meet k parts: the oracle's first maximiser
+        return _trivial_cut(h, k, notes=(_BASELINE_NOTE,))
     if k in (h.r - 1, h.r):  # every such path builds the pair graph
         _check_chain(h)
     if h.r == 3 and k == 3:
         return solve_3cut_auto(h, plan)
     notes: tuple[str, ...] = ()
     ev = _CutEvaluator(h, k)
-    best = _Best()
     if k == 2 and h.r <= 3:
         pairs = h if h.r == 2 else underlying_multigraph(h, 2)
         a = SymmetricMatrix.from_pair_graph(pairs)
         bp = best_bipartition(a, seed=_subseed(plan.seed, 3))
-        assign = ev.local_search(np.where(np.asarray(bp.x) > 0, 0, 1))
-        best.offer(ev.value(assign), assign)
+        start = ev.local_search(np.where(np.asarray(bp.x) > 0, 0, 1))
     elif k in (h.r - 1, h.r):
         chain: dict[int, Hypergraph] = {h.r: h}
         for j in range(h.r - 1, 2, -1):
@@ -404,16 +388,13 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
             cur = reduce_cut_up(
                 chain[j], as_jcut, trials=plan.trials, seed=_subseed(plan.seed, 10 + j)
             )
-        assign = ev.local_search(cur.assignment)
-        best.offer(ev.value(assign), assign)
+        start = ev.local_search(cur.assignment)
     else:
-        notes = ("baseline-only: k outside the guaranteed range {r-1, r}",)
-        if k <= h.r:
-            assign = ev.local_search(ev.expectation_cut())
-            best.offer(ev.value(assign), assign)
+        notes = (_BASELINE_NOTE,)
+        start = ev.local_search(ev.expectation_cut())
     rng = np.random.default_rng(_subseed(plan.seed, 5))
-    _offer_random(ev, best, [rng] * ((plan.trials + 3) // 4))
-    cut = KCut.from_assignment(h, best.assignment, k, notes=notes)
+    rand = ev.best(rng.integers(0, k, size=h.n) for _ in range((plan.trials + 3) // 4))
+    cut = KCut.from_assignment(h, ev.best([start, rand, ev.local_search(rand)]), k, notes=notes)
     if notes and cut.surplus < 0:  # the expectation cut makes it a theorem
         raise NumericError(f"baseline-only cut {cut.cut_value} has surplus {cut.surplus} < 0")
     return cut

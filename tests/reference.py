@@ -1,5 +1,6 @@
 """Pure-Python reference for the array code: a dict merge, a set-of-parts
-cut counter, the k-way probe search, the one-start 1-flip sweep, the
+cut counter, the best-cut pick by tuple order and the one-draw-per-trial
+lift, the k-way probe search, the one-start 1-flip sweep, the
 conditional-expectation cut by enumeration and the line-by-line text parser.
 Edges
 are lists of (vertex tuple, multiplicity) pairs.  Two references keep numpy
@@ -127,6 +128,24 @@ def ref_max_kcut(h, k):
     vals = cut_values(h, assigns, k)
     best = int(np.argmax(vals))  # first occurrence
     return int(vals[best]), tuple(assigns[best].tolist())
+
+
+def ref_best(edges, rows, k):
+    """The row with the largest ``ref_cut``, ties to the smallest tuple."""
+    return min(map(tuple, rows), key=lambda a: (-ref_cut(edges, a, k), a))
+
+
+def ref_reduce_cut_up(h, cut, trials, seed):
+    """One draw of the carved part per trial, the best by ``ref_best``."""
+    r = h.r
+    base = np.asarray(cut.assignment, dtype=np.intp)
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(trials):
+        mask = rng.random(h.n) < 1.0 / r
+        assign = np.where(mask, r - 1, base)
+        draws.append(assign.tolist())
+    return ref_best(as_items(h), draws, r)
 
 
 def ref_gen_random_uniform(r, n, p, seed):

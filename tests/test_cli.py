@@ -141,12 +141,17 @@ class TestSolve:
              "--seed", "0", "--out", str(path)],
             capsys,
         )
-        code, stdout, _ = run(
-            ["solve", "--file", str(path), "--k", "5", "--trials", "6"],
-            capsys,
-        )
-        assert code == 0
-        assert "baseline-only" in stdout
+        rep = tmp_path / "rep.json"
+        # k > r = 3, up to one past int64: the all-zero cut, and no draw
+        for k in ("5", "100000000000000000000"):
+            code, stdout, _ = run(
+                ["solve", "--file", str(path), "--k", k, "--trials", "6",
+                 "--report", str(rep)],
+                capsys,
+            )
+            assert code == 0
+            assert "baseline-only" in stdout
+            assert json.loads(rep.read_text())["assignment"] == [0] * 8
 
     def test_parse_error_exit_2_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -348,6 +353,8 @@ def test_generator_size_cap_exit_3_fast(tmp_path, capsys, args):
         ["gen", "--kind", "complete", "--r", "998", "--n", "1000"],
         # C(843, 3) = 99,491,141 draws fit the cap, the 3 * C(843, 3) ids at p = 1 do not
         ["gen", "--kind", "random3", "--n", "843", "--p", "1"],
+        # 10^9 triples fit the pair-packing bound n(n-1)/6, their 3 * 10^9 ids do not
+        ["gen", "--kind", "linear3", "--n", "100000", "--m", "1000000000"],
     ],
 )
 def test_generator_id_cap_exit_3_fast(tmp_path, capsys, args):
@@ -373,7 +380,7 @@ def instance_texts(draw):
     """Headers with r <= 5 and n <= 9 and up to 12 edge lines of r distinct
     vertices with an optional multiplicity 1-3; in half the texts, also
     headers and lines of 0 to r + 2 fields that are ids up to n (one past
-    the last vertex) or odd tokens."""
+    the last vertex) or odd tokens.  Returns (text, r)."""
     r, n = draw(st.integers(0, 5)), draw(st.integers(0, 9))
     ids = [str(v) for v in range(max(n, r))]
     good = st.tuples(
@@ -387,13 +394,15 @@ def instance_texts(draw):
         odd = st.integers(0, r + 2).flatmap(lambda c: st.lists(token, min_size=c, max_size=c))
         line = good | good | odd | st.tuples(good, token).map(lambda t: t[0][:r] + [t[1]])
     lines = draw(st.lists(line, max_size=12))
-    return "\n".join(" ".join(fields) for fields in [header, *lines]) + "\n"
+    return "\n".join(" ".join(fields) for fields in [header, *lines]) + "\n", r
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(instance_texts(), st.integers(2, 6), st.booleans())
-def test_solve_exit_code_fuzz(tmp_path, capsys, text, k, oracle):
+@given(instance_texts(), st.data(), st.booleans())
+def test_solve_exit_code_fuzz(tmp_path, capsys, instance, data, oracle):
+    text, r = instance
+    k = data.draw(st.integers(2, 6) | st.sampled_from([r + 1, 2**64]), label="k")
     path = tmp_path / "fuzz.txt"
     path.write_text(text)
     args = ["solve", "--file", str(path), "--k", str(k), "--trials", "1"]

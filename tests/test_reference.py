@@ -1,10 +1,11 @@
 """Differential tests: every array layer against the pure-Python reference in
 ``reference.py``, on random multi-hypergraphs (r in {2, 3, 4}, n <= 8,
-multiplicities 1-3), the lockstep 1-flip search against one sweep loop per
-start, the conditional-expectation cut against enumeration of completions,
-the chunked parser against the line-by-line one, the growth-string oracle
-against the full scan, and the chunked generators against one draw per
-candidate."""
+multiplicities 1-3), the chunked best-cut pick against a min over tuples,
+the lift against one draw per trial, the lockstep 1-flip search against one
+sweep loop per start, the conditional-expectation cut against enumeration
+of completions, the chunked parser against the line-by-line one, the
+growth-string oracle against the full scan, and the chunked generators
+against one draw per candidate."""
 
 import itertools
 import math
@@ -30,14 +31,16 @@ from hypercut import (
     local_search_1flip,
     parse_hypergraph,
     random_cut_coefficient,
+    reduce_cut_up,
     sample_and_reduce,
     underlying_multigraph,
 )
-from hypercut import generators, hypergraph, oracle
+from hypercut import KCut, generators, hypergraph, oracle, solver
 from hypercut.solver import _CutEvaluator
 from conftest import random_multigraph, random_symmetric
 from reference import (
     as_items,
+    ref_best,
     ref_cut,
     ref_expectation_cut,
     ref_gen_random_uniform,
@@ -46,6 +49,7 @@ from reference import (
     ref_merge,
     ref_max_kcut,
     ref_parse,
+    ref_reduce_cut_up,
 )
 
 
@@ -108,6 +112,35 @@ def test_cut_evaluators_match_reference(h, data):
         assert [cut_size(h, a, k) for a in batch] == expected
         assert [ev.value(np.array(a)) for a in batch] == expected
         assert cut_values(h, np.array(batch), k).tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(min_n=0), st.data())
+def test_best_cut_matches_reference(h, data):
+    """The pick from a stack with repeated and tied rows, given as an array
+    or as a generator, scored in one chunk or in chunks of 1-3 rows."""
+    k = data.draw(st.integers(2, h.r + 1))
+    row = st.lists(st.integers(0, k - 1), min_size=h.n, max_size=h.n)
+    pool = data.draw(st.lists(row, min_size=1, max_size=6))
+    stack = [pool[i] for i in data.draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))]
+    expected = ref_best(as_items(h), stack, k)
+    ev = _CutEvaluator(h, k)
+    rows = data.draw(st.sampled_from([None, 1, 2, 3]), label="chunk rows")
+    cells = solver._CELLS if rows is None else rows * max(h.edges.size, h.n, 1)
+    with mock.patch.object(solver, "_CELLS", cells):
+        for given_as in (np.array(stack, dtype=np.intp), map(np.array, stack)):
+            assert tuple(ev.best(given_as).tolist()) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(rs=(3, 4, 5), min_n=0), st.data())
+def test_reduce_cut_up_matches_reference(h, data):
+    base = data.draw(st.lists(st.integers(0, h.r - 2), min_size=h.n, max_size=h.n))
+    cut = KCut.from_assignment(h, base, h.r - 1)
+    trials, seed = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 2**32))
+    lifted = reduce_cut_up(h, cut, trials, seed)
+    assert lifted.assignment == ref_reduce_cut_up(h, cut, trials, seed)
 
 
 @settings(max_examples=80, deadline=None)

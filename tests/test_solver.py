@@ -247,6 +247,16 @@ class TestSolveKCut:
         cut = solve_kcut(h, 2, SamplePlan(trials=5, seed=0))
         assert any("baseline" in note for note in cut.notes)
 
+    @pytest.mark.parametrize("r, n, p, k", [(3, 9, 0.3, 4), (4, 8, 0.2, 5), (5, 7, 0.3, 8)])
+    def test_k_above_r_is_the_oracle_cut(self, r, n, p, k):
+        # no edge can meet k > r parts: every cut is 0, and the oracle's first
+        # maximiser is the all-zero assignment
+        h = gen_random_uniform(r, n, p, seed=3)
+        assert h.m > 0
+        cut = solve_kcut(h, k, SamplePlan(trials=4, seed=0))
+        assert cut.assignment == brute_force_max_kcut(h, k).assignment == (0,) * n
+        assert any("baseline" in note for note in cut.notes)
+
     def test_baseline_only_all_in_one_part_regression(self):
         # the best random draw put every vertex in one part, where no single
         # move can cut an edge: cut 0, surplus -1100/81, before the
