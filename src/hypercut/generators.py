@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .hypergraph import Hypergraph
+from .hypergraph import MAX_UNIFORMITY, Hypergraph
 
 # Largest number of potential edges C(n, r) a generator enumerates, and of
 # vertex ids r * m it materialises for the m edges it keeps.
@@ -22,11 +22,11 @@ def _candidates(r: int, n: int) -> int:
     """C(n, r), once it is known to be within MAX_CANDIDATES."""
     if r < 2 or n < 0:
         raise InputError(f"need r >= 2 and n >= 0, got r={r}, n={n}")
+    if r > MAX_UNIFORMITY:  # before C(n, r), which takes ~r big-int steps
+        raise CapacityError(f"uniformity {r} exceeds the capacity {MAX_UNIFORMITY}")
     total = math.comb(n, r)
     if total > MAX_CANDIDATES:
-        raise CapacityError(
-            f"C({n}, {r}) = {total} potential edges exceed {MAX_CANDIDATES}"
-        )
+        raise CapacityError(f"C({n}, {r}) potential edges exceed {MAX_CANDIDATES}")
     return total
 
 
@@ -84,14 +84,25 @@ def gen_random_3graph(n: int, p: float, seed: int) -> Hypergraph:
     return gen_random_uniform(3, n, p, seed)
 
 
+def _candidate_triples(rng: np.random.Generator, n: int, remaining):
+    """Candidate triples of range(n) while remaining() > 0, each a sorted
+    list: blocks of 2 * remaining() + 64 uniform draws from range(n)^3, the
+    size read as each block starts, each row sorted and the rows that repeat
+    a vertex dropped, so that each row left is a uniform 3-subset."""
+    while (left := remaining()) > 0:
+        t = np.sort(rng.integers(0, n, size=(2 * left + 64, 3)), axis=1)
+        yield from t[(t[:, 0] < t[:, 1]) & (t[:, 1] < t[:, 2])].tolist()
+
+
 def gen_random_linear_3graph(
     n: int, target_m: int, seed: int
 ) -> tuple[Hypergraph, bool]:
     """Greedy random packing of triples with pairwise intersections <= 1.
 
-    Samples random triples and keeps those reusing no pair; gives up after
-    50 * target_m rejections.  Returns (hypergraph, shortfall) where
-    shortfall is True when the target was not reached.
+    Walks the candidate triples of ``_candidate_triples`` in order and keeps
+    those reusing no pair; gives up after 50 * target_m rejections.  Returns
+    (hypergraph, shortfall) where shortfall is True when the target was not
+    reached.  Pairs are keyed by the exact Python int u * n + v.
     """
     if target_m < 0:
         raise InputError(f"target edge count must be >= 0, got {target_m}")
@@ -101,21 +112,28 @@ def gen_random_linear_3graph(
         )
     if n < 3 and target_m > 0:
         raise InputError("need at least 3 vertices for any triple")
+    if n >= 2**63 and target_m > 0:
+        raise InputError(f"vertex count {n} passes the int64 vertex-id limit 2^63")
     _check_ids(3, target_m)
     rng = np.random.default_rng(seed)
-    used_pairs: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int, int]] = []
+    used_pairs: set[int] = set()
+    edges: list[list[int]] = []
     rejections = 0
     budget = 50 * target_m
-    while len(edges) < target_m and rejections <= budget:
-        tri = tuple(sorted(int(v) for v in rng.choice(n, size=3, replace=False)))
-        pairs = [(tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])]
-        if any(pr in used_pairs for pr in pairs):
+    for tri in _candidate_triples(rng, n, lambda: target_m - len(edges)):
+        u, v, w = tri
+        uv, uw, vw = u * n + v, u * n + w, v * n + w
+        if uv in used_pairs or uw in used_pairs or vw in used_pairs:
             rejections += 1
+            if rejections > budget:
+                break
             continue
-        used_pairs.update(pairs)
+        used_pairs.update((uv, uw, vw))
         edges.append(tri)
-    return Hypergraph.from_edges(3, n, edges), len(edges) < target_m
+        if len(edges) == target_m:
+            break
+    rows = np.array(edges, dtype=np.int64).reshape(-1, 3)
+    return Hypergraph(3, n, rows, np.ones(len(rows), dtype=np.int64)), len(edges) < target_m
 
 
 def gen_complete(r: int, n: int) -> Hypergraph:

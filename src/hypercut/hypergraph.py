@@ -272,11 +272,15 @@ def induced_sub(
 
 
 def format_hypergraph(h: Hypergraph) -> str:
-    lines = [f"{h.r} {h.n}"]
-    for verts, mult in zip(h.edges.tolist(), h.mult.tolist()):
-        body = " ".join(map(str, verts))
-        lines.append(body if mult == 1 else f"{body} {mult}")
-    return "\n".join(lines) + "\n"
+    """The text format, filled by one ``%`` over a template of one
+    "%d ... %d\\n" line per edge, with one more field where mult != 1."""
+    single = h.mult == 1
+    body = " ".join(["%d"] * h.r)
+    template = "".join(np.where(single, body + "\n", body + " %d\n").tolist())
+    fields = np.ones((len(single), h.r + 1), dtype=bool)
+    fields[:, h.r] = ~single
+    values = np.column_stack([h.edges, h.mult])[fields]
+    return f"{h.r} {h.n}\n" + template % tuple(values.tolist())
 
 
 # Edge lines converted per np.array call: large enough that numpy, not the

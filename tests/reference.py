@@ -1,18 +1,21 @@
 """Pure-Python reference for the array code: a dict merge, a set-of-parts
 cut counter, the best-cut pick by tuple order and the one-draw-per-trial
 lift, the k-way probe search, the one-start 1-flip sweep, the
-conditional-expectation cut by enumeration and the line-by-line text parser.
-Edges
-are lists of (vertex tuple, multiplicity) pairs.  Two references keep numpy
-for speed: the full k^(n-1) oracle scan, scored by ``cut_values`` (pinned to
-``ref_cut`` by its own test), and the one-draw-per-candidate generator."""
+conditional-expectation cut by enumeration, the line-by-line text parser
+and writer, and the one-triple-at-a-time linear packer.  Edges are lists of
+(vertex tuple, multiplicity) pairs.  Three references keep numpy for speed:
+the full k^(n-1) oracle scan, scored by ``cut_values`` (pinned to
+``ref_cut`` by its own test), the one-draw-per-candidate generator, and the
+packer's candidate stream, which is shared with the code under test."""
 
 import itertools
 import math
 
 import numpy as np
 
-from hypercut import BipartitionResult, Hypergraph, InputError, cut_values, quadratic_surplus
+from hypercut import (
+    BipartitionResult, Hypergraph, InputError, cut_values, generators, quadratic_surplus,
+)
 
 
 def ref_merge(items, key=lambda verts: tuple(sorted(verts))):
@@ -154,3 +157,32 @@ def ref_gen_random_uniform(r, n, p, seed):
     keep = np.random.default_rng(seed).random(math.comb(n, r)) < p
     edges = itertools.compress(itertools.combinations(range(n), r), keep)
     return Hypergraph.from_edges(r, n, edges)
+
+
+def ref_format(h):
+    """The text format written one f-string per line."""
+    lines = [f"{h.r} {h.n}"]
+    for verts, mult in zip(h.edges.tolist(), h.mult.tolist()):
+        body = " ".join(map(str, verts))
+        lines.append(body if mult == 1 else f"{body} {mult}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_linear_packing(n, target_m, seed):
+    """The greedy packing one candidate triple at a time, with tuple pair
+    keys, fed by the generator's own candidate stream."""
+    rng = np.random.default_rng(seed)
+    used_pairs: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int, int]] = []
+    stream = generators._candidate_triples(rng, n, lambda: target_m - len(edges))
+    rejections = 0
+    budget = 50 * target_m
+    while len(edges) < target_m and rejections <= budget:
+        tri = tuple(next(stream))
+        pairs = [(tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])]
+        if any(pr in used_pairs for pr in pairs):
+            rejections += 1
+            continue
+        used_pairs.update(pairs)
+        edges.append(tri)
+    return Hypergraph.from_edges(3, n, edges), len(edges) < target_m

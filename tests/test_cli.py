@@ -335,6 +335,10 @@ def test_oversized_multiplicity_exit_2(tmp_path, capsys, text, extra):
     [
         ["gen", "--kind", "random3", "--n", "3000", "--p", "0.001"],
         ["gen", "--kind", "complete", "--r", "3", "--n", "3000"],
+        # C(n, r) would take ~2^63 steps: r is checked against 1,000 first
+        ["gen", "--kind", "complete", "--r", str(2**63), "--n", str(10**20)],
+        # C(n, r) has ~14,000 digits, more than Python prints of an int
+        ["gen", "--kind", "complete", "--r", "845", "--n", str(2**63 - 1)],
         ["experiment", "--kind", "concentration", "--n", "3000"],
     ],
 )
@@ -365,6 +369,20 @@ def test_generator_id_cap_exit_3_fast(tmp_path, capsys, args):
     assert "capacity" in err
     assert peak < 5 * 2**20
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("m, code", [("1", 2), ("0", 0)])
+def test_linear3_vertex_count_past_int64(tmp_path, capsys, m, code):
+    """Vertex ids are int64: a target needs n < 2^63, an empty graph does not."""
+    out = tmp_path / "lin.txt"
+    got, _, err = run(
+        ["gen", "--kind", "linear3", "--n", "100000000000000000000", "--m", m,
+         "--out", str(out)],
+        capsys,
+    )
+    assert got == code
+    assert ("int64" in err) == (code == 2)
+    assert out.exists() == (code == 0)
 
 
 # Tokens a file may hold in place of a small count: past int64, at its edges,
@@ -407,6 +425,66 @@ def test_solve_exit_code_fuzz(tmp_path, capsys, instance, data, oracle):
     path.write_text(text)
     args = ["solve", "--file", str(path), "--k", str(k), "--trials", "1"]
     code, _, _ = run(args + ["--oracle"] * oracle, capsys)
+    assert code in (0, 2, 3)
+
+
+def fuzz_ints(small):
+    """An int argument, from one of four classes drawn alike: ``small``, just
+    past a cap (C(n, 3) > 10^8 at n = 845, 3m > 10^8 ids, 10,000 reps or
+    trials, r > 1,000), at or past the int64 limit, or negative."""
+    return st.one_of(
+        small,
+        st.sampled_from([845, 33_333_334, 10_001, 1_001]),
+        st.sampled_from([2**63 - 1, 2**63, 10**20]),
+        st.sampled_from([-1, -(2**63) - 1]),
+    )
+
+
+def fuzz_probs():
+    return (st.floats(0, 1) | st.sampled_from([1.0000001, -0.1, 2.0, float("nan"), 1e300])).map(repr)
+
+
+@st.composite
+def gen_args(draw):
+    """``gen`` arguments whose accepted cases stay light: complete graphs on
+    at most 12 vertices, linear targets of at most 40 triples."""
+    kind = draw(st.sampled_from(["random3", "linear3", "complete"]))
+    n_small = st.integers(0, 12 if kind == "complete" else 40)
+    return ["gen", "--kind", kind,
+            "--n", str(draw(fuzz_ints(n_small))),
+            "--m", str(draw(fuzz_ints(st.integers(0, 40)))),
+            "--p", draw(fuzz_probs()),
+            "--r", str(draw(fuzz_ints(st.integers(0, 12)))),
+            "--seed", str(draw(fuzz_ints(st.integers(0, 40))))]
+
+
+@st.composite
+def experiment_args(draw):
+    """``experiment`` arguments whose accepted cases stay light: at most two
+    sizes, at most 3 reps and 3 trials."""
+    sizes = draw(st.lists(fuzz_ints(st.integers(1, 40)), min_size=1, max_size=2))
+    return ["experiment", "--kind", draw(st.sampled_from(["concentration", "scaling"])),
+            "--n", str(draw(fuzz_ints(st.integers(0, 40)))),
+            "--p", draw(fuzz_probs()),
+            "--reps", str(draw(fuzz_ints(st.integers(1, 3)))),
+            "--sizes=" + ",".join(map(str, sizes)),
+            "--trials", str(draw(fuzz_ints(st.integers(1, 3)))),
+            "--seed", str(draw(fuzz_ints(st.integers(0, 40))))]
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gen_args())
+def test_gen_exit_code_fuzz(tmp_path, capsys, args):
+    code, _, _ = run([*args, "--out", str(tmp_path / "out")], capsys)
+    assert code in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(experiment_args())
+def test_experiment_exit_code_fuzz(tmp_path, capsys, args):
+    code, _, _ = run([*args, "--out", str(tmp_path / "out")], capsys)
     assert code in (0, 2, 3)
 
 

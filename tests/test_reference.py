@@ -4,11 +4,13 @@ multiplicities 1-3), the chunked best-cut pick against a min over tuples,
 the lift against one draw per trial, the lockstep 1-flip search against one
 sweep loop per start, the conditional-expectation cut against enumeration
 of completions, the chunked parser against the line-by-line one, the
-growth-string oracle against the full scan, and the chunked generators
-against one draw per candidate."""
+growth-string oracle against the full scan, the chunked generators
+against one draw per candidate, the linear packer against one triple at a
+time, and the one-template writer against one f-string per line."""
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,7 +27,9 @@ from hypercut import (
     cut_size,
     cut_values,
     degree_profile,
+    format_hypergraph,
     gen_complete,
+    gen_random_linear_3graph,
     gen_random_uniform,
     induced_sub,
     local_search_1flip,
@@ -43,7 +47,9 @@ from reference import (
     ref_best,
     ref_cut,
     ref_expectation_cut,
+    ref_format,
     ref_gen_random_uniform,
+    ref_linear_packing,
     ref_local_search,
     ref_local_search_1flip,
     ref_merge,
@@ -251,6 +257,72 @@ def test_gen_complete_matches_combinations(r):
         assert gen_complete(r, n).edges.tolist() == [
             list(c) for c in itertools.combinations(range(n), r)
         ]
+
+
+@st.composite
+def packing_targets(draw):
+    """(n, target_m): n from 3 to 40 and a target up to the pair-packing
+    bound n(n-1)/6, half the time within 3 of it, where rejections pile up."""
+    n = draw(st.integers(3, 40))
+    bound = n * (n - 1) // 6
+    return n, draw(st.integers(0, bound) | st.integers(max(0, bound - 3), bound))
+
+
+@settings(max_examples=60, deadline=None)
+@given(packing_targets(), st.integers(0, 2**32))
+def test_linear_packing_matches_reference(problem, seed):
+    n, target_m = problem
+    h, short = gen_random_linear_3graph(n, target_m, seed)
+    assert (h, short) == ref_linear_packing(n, target_m, seed)
+    assert degree_profile(h).max_codegree <= 1
+
+
+@pytest.mark.parametrize(
+    "n, target_m, seeds",
+    [
+        (6, 5, range(8)),  # at most 4 triples fit: every run spends the budget
+        (7, 7, range(8)),  # the Fano plane, or a budget spent short of it
+        (20, 58, [43]),  # a triple is kept right after the last allowed rejection
+        (21, 61, [84]),  # likewise
+    ],
+)
+def test_linear_packing_spends_the_rejection_budget(n, target_m, seeds):
+    for seed in seeds:
+        assert gen_random_linear_3graph(n, target_m, seed) == ref_linear_packing(n, target_m, seed)
+
+
+@pytest.mark.parametrize("n, target_m", [(5 * 10**9, 3), (2**63 - 1, 2)])
+def test_linear_packing_on_huge_vertex_ids(n, target_m):
+    """Pair keys stay exact past n = 3.04e9, where u * n + v leaves int64."""
+    tracemalloc.start()
+    try:
+        h, short = gen_random_linear_3graph(n, target_m, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert (h, short) == ref_linear_packing(n, target_m, 5)
+    assert h.m == target_m and not short
+    assert degree_profile(h).max_codegree == 1
+
+
+@st.composite
+def written_graphs(draw):
+    """r from 2 to 5, n from 0, multiplicities 1, small, and up to 2^53."""
+    r = draw(st.integers(2, 5))
+    n = draw(st.sampled_from([0, r, 9, 2**63 - 1]))
+    mult = st.integers(1, 3) | st.integers(4, 2**49) | st.just(2**53)
+    edge = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True)
+    items = draw(st.lists(st.tuples(edge.map(tuple), mult), max_size=12)) if n >= r else []
+    assume(sum(m for _, m in items) <= 2**53)
+    return Hypergraph.from_edges(r, n, items)
+
+
+@settings(max_examples=100, deadline=None)
+@given(written_graphs())
+def test_writer_matches_line_by_line_reference(h):
+    assert format_hypergraph(h) == ref_format(h)
+    assert parse_hypergraph(format_hypergraph(h)) == h
 
 
 @settings(max_examples=40, deadline=None)
