@@ -52,17 +52,30 @@ def random_cut_coefficient(r: int, k: int) -> Fraction:
 
 def _merge(rows: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The canonicaliser: rows in lexicographic order, equal rows merged into
-    one with their multiplicities summed.  Both results are read-only."""
+    one with their multiplicities summed.  Both results are read-only.
+
+    Rows of w ids below b, with b^w < 2^63, are compared by one int64 key
+    each, their ids as its base-b digits; wider rows column by column."""
     if len(rows):
-        # ordered[i]: row i <= row i + 1, decided from the last column to the first
-        ordered = np.ones(len(rows) - 1, dtype=bool)
-        for prev, nxt in zip(rows[:-1].T[::-1], rows[1:].T[::-1]):
-            ordered = (prev < nxt) | ((prev == nxt) & ordered)
-        if not ordered.all():  # a stable sort of ordered rows is the identity
-            order = np.lexsort(rows.T[::-1])
-            rows, mult = rows[order], mult[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        base = int(rows.max()) + 1
+        if base ** rows.shape[1] < 2**63:
+            key = rows[:, 0]
+            for col in rows.T[1:]:
+                key = key * base + col
+            if (np.diff(key) < 0).any():  # sorting ordered rows would not move them
+                order = np.argsort(key)
+                rows, mult, key = rows[order], mult[order], key[order]
+            first = np.diff(key, prepend=-1) != 0
+        else:
+            # ordered[i]: row i <= row i + 1, decided from the last column to the first
+            ordered = np.ones(len(rows) - 1, dtype=bool)
+            for prev, nxt in zip(rows[:-1].T[::-1], rows[1:].T[::-1]):
+                ordered = (prev < nxt) | ((prev == nxt) & ordered)
+            if not ordered.all():
+                order = np.lexsort(rows.T[::-1])
+                rows, mult = rows[order], mult[order]
+            first = np.ones(len(rows), dtype=bool)
+            first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         starts = np.flatnonzero(first)
         rows, mult = rows[starts], np.add.reduceat(mult, starts)
     rows.setflags(write=False)
@@ -283,79 +296,96 @@ def format_hypergraph(h: Hypergraph) -> str:
     return f"{h.r} {h.n}\n" + template % tuple(values.tolist())
 
 
-# Edge lines converted per np.array call: large enough that numpy, not the
-# Python loop, parses the tokens, small enough that one chunk's token lists
-# stay a small share of the parsed arrays.
-_CHUNK_LINES = 4096
+# Place values of a token's digits: the byte scan reads tokens of at most 18
+# digits, whose values stay below 10^18 < 2^63.
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
-def _line_ints(raw: str, lineno: int) -> list[int]:
-    """The integers on one line, '#' comments stripped."""
+def _scan(text: str):
+    """(r, n, rows, mult) of ``text`` read in one pass over its bytes, or None
+    unless the text is plain: outside '#' comments only ASCII digits, spaces,
+    tabs and "\n" or "\r\n" line breaks, comments of printable ASCII, tokens
+    of at most 18 digits, a header of two fields with 2 <= r <= MAX_UNIFORMITY,
+    and r or r + 1 fields on every later line that has any."""
     try:
-        return list(map(int, raw.partition("#")[0].split()))
-    except ValueError as exc:
-        raise InputError(f"line {lineno}: not an integer list: {raw!r}") from exc
-
-
-def _edge_chunk(lines: list[str], lineno: int, r: int):
-    """(vertex rows, multiplicities) of the edge lines ``lines``, the first of
-    which is line ``lineno``; None when they hold no edge."""
-    tokens = [raw.partition("#")[0].split() for raw in lines]
-    fields = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
-    try:
-        vals = np.array(list(itertools.chain.from_iterable(tokens)), dtype=np.int64)
-    except (ValueError, OverflowError):
-        vals = None
-    used = np.flatnonzero(fields)
-    if vals is None or not np.isin(fields[used], (r, r + 1)).all():
-        # Raise the first bad line's error, checking in file order.
-        rows = []
-        for i, raw in enumerate(lines):
-            nums = _line_ints(raw, lineno + i)
-            if not nums:
-                continue
-            if len(nums) not in (r, r + 1):
-                raise InputError(
-                    f"line {lineno + i}: expected {r} vertices with optional "
-                    f"multiplicity, got {len(nums)} fields"
-                )
-            rows.append(nums)
-        # Every line is well formed, so some value lies outside int64: keep
-        # the Python ints for the constructor to report after the later lines.
-        return (np.array([row[:r] for row in rows], dtype=object),
-                np.array([row[r] if len(row) > r else 1 for row in rows], dtype=object))
-    if len(used) == 0:
+        b = np.frombuffer(text.encode("ascii") + b"\n", dtype=np.uint8)
+    except UnicodeEncodeError:
         return None
-    starts = (np.cumsum(fields) - fields)[used]
-    mult = np.ones(len(used), dtype=np.int64)
-    has_mult = fields[used] > r
-    mult[has_mult] = vals[starts[has_mult] + r]
-    return vals[starts[:, None] + np.arange(r)], mult
+    ends = np.flatnonzero(b == ord("\n"))  # line i ends at byte ends[i]
+    # A comment runs from the first '#' of a line up to the line's end.
+    hashes = np.flatnonzero(b == ord("#"))
+    stop = ends[np.searchsorted(ends, hashes)]
+    first = np.diff(stop, prepend=-1) != 0
+    bounds = np.column_stack([hashes[first], stop[first]]).ravel()
+    inside = np.arange(len(bounds) + 1) % 2 == 1
+    comment = np.repeat(inside, np.diff(bounds, prepend=0, append=len(b)))
+    digit = (b >= ord("0")) & (b <= ord("9")) & ~comment
+    blank = (b == ord(" ")) | (b == ord("\t")) | (b == ord("\n"))
+    blank[:-1] |= (b[:-1] == ord("\r")) & (b[1:] == ord("\n"))
+    if not (digit | blank | (comment & (b >= ord(" ")) & (b <= ord("~")))).all():
+        return None
+    edge = np.flatnonzero(np.diff(digit, prepend=False))  # tokens open and close
+    starts, stops = edge[::2], edge[1::2]
+    size = stops - starts
+    if len(size) == 0 or size.max() > len(_POW10):
+        return None
+    vals = (b[stops - 1] - ord("0")).astype(np.int64)
+    for j in range(1, size.max()):  # the digit j places left of each token's last
+        digits = (b[stops - 1 - j] - ord("0")) * _POW10[j]
+        digits[size <= j] = 0
+        vals += digits
+    before = np.searchsorted(starts, ends)  # tokens before each line's end
+    fields = np.diff(before, prepend=0)
+    lines = np.flatnonzero(fields)
+    if fields[lines[0]] != 2:
+        return None
+    r, n, count = int(vals[0]), int(vals[1]), fields[lines[1:]]
+    if not 2 <= r <= MAX_UNIFORMITY or not ((count == r) | (count == r + 1)).all():
+        return None
+    head = (before - fields)[lines[1:]]  # each edge line's first token
+    mult = np.ones(len(head), dtype=np.int64)
+    mult[count > r] = vals[head[count > r] + r]
+    return r, n, np.stack([vals[head + j] for j in range(r)], axis=1), mult
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        header = _line_ints(raw, lineno)
-        if header:
-            break
-    else:
+    """Read the text format: a plain text (see ``_scan``) in one pass over its
+    bytes, any other one line by line, so that an error names its line."""
+    if (scanned := _scan(text)) is not None:
+        return Hypergraph(*scanned)
+    header, rows, mult = None, [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
+            continue
+        try:
+            nums = list(map(int, tokens))
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: not an integer list: {raw!r}") from exc
+        if header is None:
+            if len(nums) != 2:
+                raise InputError(f"line {lineno}: header must be 'r n'")
+            header = nums
+        elif len(nums) - header[0] in (0, 1):
+            rows.append(nums[:header[0]])
+            mult.append(nums[header[0]] if len(nums) > header[0] else 1)
+        else:
+            raise InputError(
+                f"line {lineno}: expected {header[0]} vertices with optional "
+                f"multiplicity, got {len(nums)} fields"
+            )
+    if header is None:
         raise InputError("empty input: missing 'r n' header line")
-    if len(header) != 2:
-        raise InputError(f"line {lineno}: header must be 'r n'")
-    r, n = header
-    chunks = [
-        chunk
-        for i in range(lineno, len(lines), _CHUNK_LINES)
-        if (chunk := _edge_chunk(lines[i:i + _CHUNK_LINES], i + 1, r)) is not None
-    ]
-    rows, mult = (np.concatenate(part) for part in zip(*chunks)) if chunks else ([], [])
-    return Hypergraph(r, n, rows, mult)
+    return Hypergraph(*header, rows, mult)
 
 
 def load_hypergraph(path) -> Hypergraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_hypergraph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_hypergraph(text)
 
 
 def dump_hypergraph(h: Hypergraph, path) -> None:

@@ -30,7 +30,7 @@ from .hypergraph import (
 )
 from .oracle import _CELLS, CAPACITY
 from .rounding import best_bipartition
-from .spectral import SymmetricMatrix
+from .spectral import SymmetricMatrix, adjacency
 
 # Largest vertex count solve_kcut accepts: each collapsed pair graph becomes a
 # dense n x n float64 matrix, 800 MB at this bound.
@@ -53,12 +53,18 @@ class SamplePlan:
             raise CapacityError(f"{self.trials} trials exceed the capacity {MAX_TRIALS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedInstance:
     """Result of collapsing hyperedges with one sampled vertex onto pairs."""
 
     rest: tuple[int, ...]  # unsampled vertices, ascending; index = dense id
-    pair_graph: Hypergraph  # 2-uniform, on dense ids over rest
+    pairs: np.ndarray  # (d, 2) collapsed pairs on dense ids over rest, unmerged
+    weights: np.ndarray  # (d,) multiplicity of each pair
+
+    @functools.cached_property
+    def pair_graph(self) -> Hypergraph:
+        """The pairs as a 2-uniform multigraph, equal pairs merged."""
+        return Hypergraph(2, len(self.rest), self.pairs, self.weights)
 
 
 def _subseed(seed: int, tag: int) -> int:
@@ -202,10 +208,7 @@ def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:
     inside = sampled[h.edges]
     one = inside.sum(axis=1) == 1
     pairs = relabel[h.edges[one][~inside[one]]].reshape(-1, 2)
-    return ReducedInstance(
-        rest=tuple(rest.tolist()),
-        pair_graph=Hypergraph(2, len(rest), pairs, h.mult[one]),
-    )
+    return ReducedInstance(rest=tuple(rest.tolist()), pairs=pairs, weights=h.mult[one])
 
 
 def _trivial_cut(h: Hypergraph, k: int, notes: tuple[str, ...] = ()) -> KCut:
@@ -219,8 +222,8 @@ def _sampled_cut(h: Hypergraph, rng: np.random.Generator) -> np.ndarray:
     red = sample_and_reduce(h, sampled)
     assign = np.full(h.n, 1, dtype=np.intp)
     assign[sampled] = 0
-    if red.pair_graph.m > 0:
-        a = SymmetricMatrix.from_pair_graph(red.pair_graph)
+    if len(red.weights):
+        a = SymmetricMatrix(adjacency(len(red.rest), red.pairs, red.weights))
         bp = best_bipartition(a, seed=int(rng.integers(0, 2**63)))
         signs = np.asarray(bp.x)
         rest = np.asarray(red.rest, dtype=np.intp)
@@ -349,9 +352,11 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
     Guarantees follow the chain only for k in {r-1, r} (and k=2 for graphs
     and 3-graphs, where the 2-cut of a 3-graph halves the underlying
     multigraph's cut exactly); other k fall back to the random + local-search
-    baseline and the conditional-expectation cut, are flagged in notes, and
-    are checked to have a nonnegative surplus.  For k > r every cut is 0,
-    and the all-zero assignment comes back flagged.
+    baseline and the conditional-expectation cut, and are flagged in notes.
+    For every 2 <= k <= r a cut with negative surplus gives way to the
+    polished conditional-expectation cut, and the result is checked to have
+    a nonnegative surplus.  For k > r every cut is 0, and the all-zero
+    assignment comes back flagged.
     """
     if k < 2:
         raise InputError(f"need k >= 2, got k={k}")
@@ -368,33 +373,37 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
     if k in (h.r - 1, h.r):  # every such path builds the pair graph
         _check_chain(h)
     if h.r == 3 and k == 3:
-        return solve_3cut_auto(h, plan)
-    notes: tuple[str, ...] = ()
-    ev = _CutEvaluator(h, k)
-    if k == 2 and h.r <= 3:
-        pairs = h if h.r == 2 else underlying_multigraph(h, 2)
-        a = SymmetricMatrix.from_pair_graph(pairs)
-        bp = best_bipartition(a, seed=_subseed(plan.seed, 3))
-        start = ev.local_search(np.where(np.asarray(bp.x) > 0, 0, 1))
-    elif k in (h.r - 1, h.r):
-        chain: dict[int, Hypergraph] = {h.r: h}
-        for j in range(h.r - 1, 2, -1):
-            chain[j] = underlying_multigraph(chain[j + 1], j)
-        cur = solve_3cut_auto(
-            chain[3], SamplePlan(trials=plan.trials, seed=_subseed(plan.seed, 4))
-        )
-        for j in range(4, k + 1):
-            as_jcut = KCut.from_assignment(chain[j], cur.assignment, j - 1)
-            cur = reduce_cut_up(
-                chain[j], as_jcut, trials=plan.trials, seed=_subseed(plan.seed, 10 + j)
-            )
-        start = ev.local_search(cur.assignment)
+        cut = solve_3cut_auto(h, plan)
     else:
-        notes = (_BASELINE_NOTE,)
-        start = ev.local_search(ev.expectation_cut())
-    rng = np.random.default_rng(_subseed(plan.seed, 5))
-    rand = ev.best(rng.integers(0, k, size=h.n) for _ in range((plan.trials + 3) // 4))
-    cut = KCut.from_assignment(h, ev.best([start, rand, ev.local_search(rand)]), k, notes=notes)
-    if notes and cut.surplus < 0:  # the expectation cut makes it a theorem
-        raise NumericError(f"baseline-only cut {cut.cut_value} has surplus {cut.surplus} < 0")
+        notes: tuple[str, ...] = ()
+        ev = _CutEvaluator(h, k)
+        if k == 2 and h.r <= 3:
+            pairs = h if h.r == 2 else underlying_multigraph(h, 2)
+            a = SymmetricMatrix.from_pair_graph(pairs)
+            bp = best_bipartition(a, seed=_subseed(plan.seed, 3))
+            start = ev.local_search(np.where(np.asarray(bp.x) > 0, 0, 1))
+        elif k in (h.r - 1, h.r):
+            chain: dict[int, Hypergraph] = {h.r: h}
+            for j in range(h.r - 1, 2, -1):
+                chain[j] = underlying_multigraph(chain[j + 1], j)
+            cur = solve_3cut_auto(
+                chain[3], SamplePlan(trials=plan.trials, seed=_subseed(plan.seed, 4))
+            )
+            for j in range(4, k + 1):
+                as_jcut = KCut.from_assignment(chain[j], cur.assignment, j - 1)
+                cur = reduce_cut_up(
+                    chain[j], as_jcut, trials=plan.trials, seed=_subseed(plan.seed, 10 + j)
+                )
+            start = ev.local_search(cur.assignment)
+        else:
+            notes = (_BASELINE_NOTE,)
+            start = ev.local_search(ev.expectation_cut())
+        rng = np.random.default_rng(_subseed(plan.seed, 5))
+        rand = ev.best(rng.integers(0, k, size=h.n) for _ in range((plan.trials + 3) // 4))
+        cut = KCut.from_assignment(h, ev.best([start, rand, ev.local_search(rand)]), k, notes=notes)
+    if cut.surplus < 0:  # the expectation cut makes surplus >= 0 a theorem
+        ev = _CutEvaluator(h, k)
+        cut = KCut.from_assignment(h, ev.local_search(ev.expectation_cut()), k, notes=cut.notes)
+    if cut.surplus < 0:
+        raise NumericError(f"{k}-cut {cut.cut_value} has surplus {cut.surplus} < 0")
     return cut

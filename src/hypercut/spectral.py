@@ -21,11 +21,11 @@ TOL = 1e-10
 
 def adjacency(n: int, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Dense n x n float adjacency: each (u, v) row adds its weight to
-    A(u, v) and A(v, u)."""
-    a = np.zeros((n, n))
-    np.add.at(a, (pairs[:, 0], pairs[:, 1]), weights)
-    np.add.at(a, (pairs[:, 1], pairs[:, 0]), weights)
-    return a
+    A(u, v) and A(v, u), by one bincount over the cells u*n + v and v*n + u."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    cells = np.concatenate([u * n + v, v * n + u])
+    weights = np.concatenate([weights, weights])
+    return np.bincount(cells, weights=weights, minlength=n * n).reshape(n, n)
 
 
 class SymmetricMatrix:

@@ -2,7 +2,8 @@
 cut counter, the best-cut pick by tuple order and the one-draw-per-trial
 lift, the k-way probe search, the one-start 1-flip sweep, the
 conditional-expectation cut by enumeration, the line-by-line text parser
-and writer, and the one-triple-at-a-time linear packer.  Edges are lists of
+and writer, the one-triple-at-a-time linear packer, and the dense adjacency
+by two ``np.add.at`` passes.  Edges are lists of
 (vertex tuple, multiplicity) pairs.  Three references keep numpy for speed:
 the full k^(n-1) oracle scan, scored by ``cut_values`` (pinned to
 ``ref_cut`` by its own test), the one-draw-per-candidate generator, and the
@@ -118,6 +119,15 @@ def ref_parse(text):
     if header is None:
         raise InputError("empty input: missing 'r n' header line")
     return Hypergraph(header[0], header[1], rows, mult)
+
+
+def ref_adjacency(n, pairs, weights):
+    """Dense n x n adjacency: every (u, v) row adds its weight to A(u, v), in
+    row order, then every row adds it to A(v, u)."""
+    a = np.zeros((n, n))
+    np.add.at(a, (pairs[:, 0], pairs[:, 1]), weights)
+    np.add.at(a, (pairs[:, 1], pairs[:, 0]), weights)
+    return a
 
 
 def ref_max_kcut(h, k):

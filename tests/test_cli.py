@@ -160,6 +160,26 @@ class TestSolve:
         assert code == 2
         assert "line 3" in err
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"3 3\n0 1 2\xff\n")
+        code, _, err = run(["solve", "--file", str(bad), "--k", "3"], capsys)
+        assert code == 2
+        assert "input error" in err and "UTF-8" in err
+
+    def test_one_trial_k_equals_r_surplus_nonnegative(self, tmp_path, capsys):
+        # the one trial and the one random draw left the edge uncut, and no
+        # single move cuts it: this printed cut=0 surplus=-4/9 until a cut
+        # below zero gave way to the polished conditional-expectation cut
+        path = tmp_path / "h.txt"
+        path.write_text("3 3\n0 1 2 2\n")
+        code, stdout, _ = run(
+            ["solve", "--file", str(path), "--k", "3", "--trials", "1", "--seed", "947"],
+            capsys,
+        )
+        assert code == 0
+        assert "cut=2 surplus=14/9" in stdout
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code, _, err = run(
             ["solve", "--file", str(tmp_path / "nope.txt"), "--k", "3"],
@@ -428,13 +448,13 @@ def test_solve_exit_code_fuzz(tmp_path, capsys, instance, data, oracle):
     assert code in (0, 2, 3)
 
 
-def fuzz_ints(small):
+def fuzz_ints(small, past_cap=(845, 33_333_334, 10_001, 1_001)):
     """An int argument, from one of four classes drawn alike: ``small``, just
-    past a cap (C(n, 3) > 10^8 at n = 845, 3m > 10^8 ids, 10,000 reps or
-    trials, r > 1,000), at or past the int64 limit, or negative."""
+    past a cap (by default C(n, 3) > 10^8 at n = 845, 3m > 10^8 ids, 10,000
+    reps or trials, r > 1,000), at or past the int64 limit, or negative."""
     return st.one_of(
         small,
-        st.sampled_from([845, 33_333_334, 10_001, 1_001]),
+        st.sampled_from(past_cap),
         st.sampled_from([2**63 - 1, 2**63, 10**20]),
         st.sampled_from([-1, -(2**63) - 1]),
     )
@@ -466,9 +486,9 @@ def experiment_args(draw):
     return ["experiment", "--kind", draw(st.sampled_from(["concentration", "scaling"])),
             "--n", str(draw(fuzz_ints(st.integers(0, 40)))),
             "--p", draw(fuzz_probs()),
-            "--reps", str(draw(fuzz_ints(st.integers(1, 3)))),
+            "--reps", str(draw(fuzz_ints(st.integers(1, 3), past_cap=[10_001]))),
             "--sizes=" + ",".join(map(str, sizes)),
-            "--trials", str(draw(fuzz_ints(st.integers(1, 3)))),
+            "--trials", str(draw(fuzz_ints(st.integers(1, 3), past_cap=[10_001]))),
             "--seed", str(draw(fuzz_ints(st.integers(0, 40))))]
 
 

@@ -3,10 +3,12 @@
 multiplicities 1-3), the chunked best-cut pick against a min over tuples,
 the lift against one draw per trial, the lockstep 1-flip search against one
 sweep loop per start, the conditional-expectation cut against enumeration
-of completions, the chunked parser against the line-by-line one, the
-growth-string oracle against the full scan, the chunked generators
-against one draw per candidate, the linear packer against one triple at a
-time, and the one-template writer against one f-string per line."""
+of completions, the byte-scan parser against the line-by-line one, the
+packed-key canonicaliser on both sides of its int64 bound, the bincount
+adjacency against two ``np.add.at`` passes, the growth-string oracle
+against the full scan, the chunked generators against one draw per
+candidate, the linear packer against one triple at a time, and the
+one-template writer against one f-string per line."""
 
 import itertools
 import math
@@ -40,10 +42,12 @@ from hypercut import (
     underlying_multigraph,
 )
 from hypercut import KCut, generators, hypergraph, oracle, solver
+from hypercut.spectral import adjacency
 from hypercut.solver import _CutEvaluator
 from conftest import random_multigraph, random_symmetric
 from reference import (
     as_items,
+    ref_adjacency,
     ref_best,
     ref_cut,
     ref_expectation_cut,
@@ -95,6 +99,42 @@ def test_from_edges_is_canonical(raw, rnd):
     assert Hypergraph.from_edges(r, n, ordered) == h
     assert h.edges.dtype == np.intp and h.mult.dtype == np.int64
     assert h.edges.shape == (len(canonical), r)
+
+
+# Largest id whose rows of w ids still pack into one int64 key, base^w < 2^63
+# with base = id + 1: 6,207 for w = 5 and 3,037,000,498 for w = 2.
+KEY_TOPS = {5: 6_207, 2: 3_037_000_498}
+
+
+@settings(max_examples=30, deadline=None)
+@pytest.mark.parametrize(
+    "r, top", [(r, t + d) for r, t in KEY_TOPS.items() for d in (-1, 0, 1)] + [(2, 2**62), (5, 10**6)]
+)
+@given(data=st.data())
+def test_merge_matches_reference_at_the_key_bound(r, top, data):
+    """Rows of r ids from {0, 1} and the five ids up to top, one row holding
+    top, so that the packed key is the canonicaliser's choice just below and
+    at the bound, and column-wise ``lexsort`` above it, where the keys of
+    the highest rows pass 2^63 once top is well past the bound."""
+    assert ((top + 1) ** r < 2**63) == (top <= KEY_TOPS[r])
+    edge = st.permutations([0, 1, *range(top - 4, top + 1)]).map(lambda p: tuple(p[:r]))
+    items = data.draw(st.lists(st.tuples(edge, st.integers(1, 3)), max_size=12))
+    items.insert(data.draw(st.integers(0, len(items))), ((top, *range(r - 1)), 1))
+    assert as_items(Hypergraph.from_edges(r, top + 1, items)) == ref_merge(items)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9), st.booleans(), st.data())
+def test_adjacency_matches_two_add_at_passes(n, floats, data):
+    """Bit for bit, on unmerged pairs in either order with repeats, for
+    integer weights and for float weights whose sums round."""
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = np.array(data.draw(st.lists(pair, max_size=30) if n else st.just([])),
+                     dtype=np.int64).reshape(-1, 2)
+    weight = st.floats(-1e6, 1e6) if floats else st.integers(1, 2**40)
+    weights = np.array(data.draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs))),
+                       dtype=float if floats else np.int64)
+    assert adjacency(n, pairs, weights).tobytes() == ref_adjacency(n, pairs, weights).tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -359,6 +399,9 @@ def test_sample_and_reduce_matches_reference(h, data):
     red = sample_and_reduce(h, x)
     assert red.rest == tuple(rest)
     assert as_items(red.pair_graph) == expected
+    # the solver's matrix, straight from the unmerged pairs
+    direct = SymmetricMatrix(adjacency(len(rest), red.pairs, red.weights))
+    assert direct.a.tobytes() == SymmetricMatrix.from_pair_graph(red.pair_graph).a.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -409,20 +452,20 @@ def parse_outcome(parse, text):
         return str(exc)
 
 
-# Tokens the chunked parser must read as ``int`` does, or reject on the same
-# line: signs, underscores, a value past int64, and words.
-TOKENS = ["+3", "1_0", "07", "-1", "9223372036854775808", "x", "1.0"]
+# Tokens the parser must read as ``int`` does, or reject on the same line:
+# signs, underscores, a value past int64, 19 digits, a non-ASCII digit, words.
+TOKENS = ["+3", "1_0", "07", "-1", "9223372036854775808", "0" * 18 + "1", "\u0663", "x", "1.0"]
 
 
 @st.composite
 def texts(draw):
-    """Instance texts, mostly well formed, with comments, blank lines, four
-    line breaks ``splitlines`` splits at, odd tokens and field counts."""
+    """Instance texts, mostly well formed, with comments, blank lines, tabs,
+    four line breaks ``splitlines`` splits at, odd tokens and field counts."""
     r = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(r, 6))
     edge = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True)
-    good = st.tuples(edge, st.lists(st.integers(1, 3), max_size=1)).map(
-        lambda t: " ".join(map(str, t[0] + t[1])))
+    good = st.tuples(edge, st.lists(st.integers(1, 3), max_size=1), st.sampled_from(" \t")).map(
+        lambda t: t[2].join(map(str, t[0] + t[1])))
     odd = st.lists(st.sampled_from(TOKENS) | st.integers(0, n - 1).map(str), max_size=r + 2).map(
         " ".join)
     line = st.one_of(good, good, good, odd, st.just(""), st.just("# note"))
@@ -435,13 +478,47 @@ def texts(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(texts(), st.sampled_from([1, 2, 3, 4096]))
-def test_parser_matches_line_by_line_reference(text, chunk):
-    with mock.patch.object(hypergraph, "_CHUNK_LINES", chunk):
-        assert parse_outcome(parse_hypergraph, text) == parse_outcome(ref_parse, text)
+@given(texts())
+def test_parser_matches_line_by_line_reference(text):
+    assert parse_outcome(parse_hypergraph, text) == parse_outcome(ref_parse, text)
 
 
-SECOND = hypergraph._CHUNK_LINES + 2  # number of the second chunk's first line
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32))
+def test_parser_scans_long_plain_files_as_the_reference(seed):
+    """Thousands of edge lines in the plain form the byte scan reads: blank
+    and comment lines, trailing comments, tabs and runs of spaces, "\\r\\n"
+    breaks, leading zeros, multiplicities, and no break after the last line."""
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(2, 6))
+    n = int(rng.integers(r, 40))
+    rows = np.argsort(rng.random((3000, n)), axis=1)[:, :r]
+    fill = [" ", "\t", "  ", " \t", "", " # 0 1 2 #", "# comment", "\n"]
+    lines = ["# instance", f"{r}\t{n}"]
+    for row, mult in zip(rows.tolist(), rng.choice(["", "1", "3", "007"], len(rows))):
+        sep = fill[rng.integers(4)]
+        lines.append(sep.join(map(str, row + [mult] * (mult != ""))) + fill[rng.integers(3, 8)])
+    text = "".join(line + ["\n", "\r\n"][rng.integers(2)] for line in lines).rstrip()
+    assert hypergraph._scan(text) is not None
+    assert parse_hypergraph(text) == ref_parse(text)
+
+
+GOOD = "0 1 2\n" * 3000  # plain lines around each trigger, so the texts are long
+
+
+@pytest.mark.parametrize("line", [
+    *(f"{head} {token}\n" for head in ("0 1", "0 1 2") for token in TOKENS if token != "07"),
+    "0 1\r2\n", "0 1\x0c2\n", "0 1\x0b2\n", "0 1 2 # \u00e9\n",
+])
+def test_parser_leaves_each_trigger_to_the_line_loop(line):
+    """Each of these lines sends a long text to the line-by-line loop, which
+    reads it, or names it in its error, as the reference does."""
+    text = "3 5\n" + GOOD + line + GOOD
+    assert hypergraph._scan(text) is None
+    assert parse_outcome(parse_hypergraph, text) == parse_outcome(ref_parse, text)
+
+
+SECOND = 4098  # the line after 4,096 good edge lines
 
 
 @pytest.mark.parametrize(
@@ -454,8 +531,9 @@ SECOND = hypergraph._CHUNK_LINES + 2  # number of the second chunk's first line
 )
 @pytest.mark.parametrize("early", ["0 1 2", "0 1 2 99999999999999999999"])
 def test_parser_names_the_first_line_of_the_second_chunk(bad, error, early):
-    """The first bad line opens the second chunk, after a first chunk that is
-    well formed or holds a value past int64 (reported only after the rest)."""
+    """The first bad line comes after 4,096 edge lines that are well formed or
+    hold a value past int64 (reported only after the rest), and before more
+    bad ones."""
     lines = ["3 5", early] + ["0 1 3"] * (SECOND - 3) + [bad, "0 x 9"]
     text = "\n".join(lines) + "\n"
     assert parse_outcome(ref_parse, text).startswith(error)

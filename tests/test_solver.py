@@ -272,20 +272,27 @@ class TestSolveKCut:
 
 
 @st.composite
-def baseline_instances(draw):
-    """(h, k): an r-graph, 4 <= r <= 6, on at most 9 vertices with
-    multiplicities 1-3, and a k in the baseline-only range [2, r - 2]."""
-    r = draw(st.integers(4, 6))
+def kcut_instances(draw, min_r, k_below_r):
+    """(h, k): an r-graph, min_r <= r <= 6, on at most 9 vertices with
+    multiplicities 1-3, and a k in [2, r - k_below_r]."""
+    r = draw(st.integers(min_r, 6))
     n = draw(st.integers(r, 9))
     edge = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True)
     items = draw(st.lists(st.tuples(edge.map(tuple), st.integers(1, 3)), max_size=14))
-    return Hypergraph.from_edges(r, n, items), draw(st.integers(2, r - 2))
+    return Hypergraph.from_edges(r, n, items), draw(st.integers(2, r - k_below_r))
 
 
 @settings(max_examples=150, deadline=None)
-@given(baseline_instances(), st.integers(0, 2**32))
+@given(kcut_instances(4, 2), st.integers(0, 2**32))
 def test_baseline_only_surplus_nonnegative(instance, seed):
     h, k = instance
     cut = solve_kcut(h, k, SamplePlan(trials=1, seed=seed))
     assert cut.surplus >= 0
     assert h.m == 0 or any("baseline" in note for note in cut.notes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kcut_instances(2, 0), st.integers(0, 2**32))
+def test_surplus_nonnegative_for_every_k_up_to_r(instance, seed):
+    h, k = instance
+    assert solve_kcut(h, k, SamplePlan(trials=1, seed=seed)).surplus >= 0

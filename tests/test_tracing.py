@@ -2,10 +2,9 @@
 traced function must still exist under its name, with the arguments the
 tracer's counters read, and must fire on a few tiny CLI runs."""
 
+import importlib
 import importlib.util
 from pathlib import Path
-
-from hypercut.cli import main
 
 _SPEC = importlib.util.spec_from_file_location(
     "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -34,6 +33,9 @@ def test_every_traced_span_fires(tmp_path, capsys):
     ]
     tracer = tracing.Tracer()
     tracer.install()
+    # Look main up only now: the Tracer patches the hypercut modules loaded
+    # at install time, which the benchmark's set-up may have imported afresh.
+    main = importlib.import_module("hypercut.cli").main
     try:
         for args in runs:
             assert main(args) == 0, args
