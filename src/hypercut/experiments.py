@@ -134,7 +134,7 @@ def surplus_scaling_study(
     if not sizes or min(sizes) < 1:
         raise InputError(f"sizes must be a nonempty list of integers >= 1, got {sizes}")
     _check_reps(reps)
-    SamplePlan(trials=trials)  # rejects a bad budget before any draw
+    SamplePlan(trials=trials, seed=seed)  # rejects a bad budget or seed before any draw
     rows: list[ScalingRow] = []
     ss = np.random.SeedSequence(seed)
     for n in sizes:

@@ -14,6 +14,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -158,6 +159,13 @@ class Hypergraph:
     def m(self) -> int:
         """Total edge count, multiplicities included."""
         return int(self.mult.sum())
+
+    @functools.cached_property
+    def incidence(self) -> list[np.ndarray]:
+        """incidence[v]: ascending indices of the edges that contain v."""
+        by_vertex = np.argsort(self.edges.ravel(), kind="stable") // self.r
+        ends = np.cumsum(np.bincount(self.edges.ravel(), minlength=self.n))
+        return np.split(by_vertex, ends[:-1])
 
 
 def _max_merged(rows: np.ndarray, mult: np.ndarray) -> int:

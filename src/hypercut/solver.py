@@ -47,6 +47,8 @@ class SamplePlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.trials > MAX_TRIALS:
@@ -78,10 +80,7 @@ class _CutEvaluator:
     def __init__(self, h: Hypergraph, k: int) -> None:
         self.h = h
         self.k = k
-        # inc[v]: ascending indices of the edges that contain v
-        by_vertex = np.argsort(h.edges.ravel(), kind="stable") // h.r
-        ends = np.cumsum(np.bincount(h.edges.ravel(), minlength=h.n))
-        self.inc = np.split(by_vertex, ends[:-1])
+        self.inc = h.incidence
 
     def value(self, assign: np.ndarray) -> np.ndarray:
         """Cut size of an (n,) assignment, or of each row of a (c, n) stack."""
@@ -105,7 +104,8 @@ class _CutEvaluator:
         """A k-cut at least as large as a uniformly random one's expectation,
         by the method of conditional expectations: each vertex in turn goes
         to the part (the lowest on ties) that maximises the expected cut when
-        the later vertices are drawn uniformly.
+        the later vertices are drawn uniformly.  Its surplus is >= 0, so
+        solve_kcut offers it, polished, on every solve with 2 <= k <= r.
 
         Placing v changes the expectation of v's edges only.  Take one whose
         placed vertices meet s parts, with f vertices still free after v.  If
@@ -113,6 +113,8 @@ class _CutEvaluator:
         hit the other w = k - s - 1 missing parts but never v's part:
         sum_j (-1)^j C(w, j) (k-1-j)^f over k^f, by inclusion-exclusion.
         Scaled by k^(r-1), these gains are exact integers, so ties are exact.
+        v's edges are grouped by (s, f), and each gain multiplies the group's
+        total weight missing each part.
         """
         h, k = self.h, self.k
 
@@ -129,15 +131,18 @@ class _CutEvaluator:
 
         counts = np.zeros((len(h.mult), k), dtype=np.int64)  # edge x placed part
         free = np.full(len(h.mult), h.r)  # edge x unplaced vertices
-        weight = h.mult.astype(object)
+        weight = h.mult.astype(np.float64)  # sums stay at most m <= 2^53: exact
         assign = np.zeros(h.n, dtype=np.intp)
         for v in range(h.n):
             edges = self.inc[v]
             free[edges] -= 1
             c = counts[edges]
-            sf = zip((c > 0).sum(axis=1).tolist(), free[edges].tolist())
-            lift = weight[edges] * np.array([gain(*key) for key in sf], dtype=object)
-            score = ((c == 0) * lift[:, None]).sum(axis=0).tolist()
+            keys, group = np.unique((c > 0).sum(axis=1) * h.r + free[edges], return_inverse=True)
+            cells = (group[:, None] * k + np.arange(k)).ravel()
+            missed = np.bincount(cells, ((c == 0) * weight[edges, None]).ravel(), len(keys) * k)
+            gains = np.array([gain(*divmod(key, h.r)) for key in keys.tolist()], dtype=object)
+            # score[b]: the sum over groups of gain x the group's weight missing b
+            score = (gains @ missed.reshape(-1, k).astype(np.int64).astype(object)).tolist()
             assign[v] = b = score.index(max(score))
             counts[edges, b] += 1
         return assign
@@ -232,23 +237,15 @@ def _sampled_cut(h: Hypergraph, rng: np.random.Generator) -> np.ndarray:
 
 
 def solve_3cut(h: Hypergraph, plan: SamplePlan) -> KCut:
-    """Sampling + spectral rounding for the max 3-cut of a 3-graph.
-
-    Every run also scores ceil(trials/4) uniformly random tripartitions and
-    the best of them after k-way search, so the result never trails the
-    random baseline; the winner gets one more k-way search.
-    """
+    """Sampling + spectral rounding for the max 3-cut of a 3-graph: the best
+    of ``plan.trials`` sampled cuts, after k-way search."""
     if h.r != 3:
         raise InputError(f"solve_3cut needs r=3, got r={h.r}")
     if h.n == 0 or h.m == 0:
         return _trivial_cut(h, 3)
     ev = _CutEvaluator(h, 3)
-    children = np.random.SeedSequence(plan.seed).spawn(plan.trials + (plan.trials + 3) // 4)
-    rand = ev.best(
-        np.random.default_rng(seq).integers(0, 3, size=h.n) for seq in children[plan.trials:]
-    )
-    cuts = (_sampled_cut(h, np.random.default_rng(seq)) for seq in children[:plan.trials])
-    winner = ev.best(itertools.chain(cuts, [rand, ev.local_search(rand)]))
+    children = np.random.SeedSequence(plan.seed).spawn(plan.trials)
+    winner = ev.best(_sampled_cut(h, np.random.default_rng(seq)) for seq in children)
     return KCut.from_assignment(h, ev.local_search(winner), 3)
 
 
@@ -347,16 +344,17 @@ def _check_chain(h: Hypergraph) -> None:
 
 
 def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
-    """k-cuts of r-graphs via the underlying-multigraph chain down to 3-cuts.
+    """k-cuts of r-graphs: the best of the k-way-polished
+    conditional-expectation cut and, where the paper gives one, the spectral
+    candidate.
 
-    Guarantees follow the chain only for k in {r-1, r} (and k=2 for graphs
-    and 3-graphs, where the 2-cut of a 3-graph halves the underlying
-    multigraph's cut exactly); other k fall back to the random + local-search
-    baseline and the conditional-expectation cut, and are flagged in notes.
-    For every 2 <= k <= r a cut with negative surplus gives way to the
-    polished conditional-expectation cut, and the result is checked to have
-    a nonnegative surplus.  For k > r every cut is 0, and the all-zero
-    assignment comes back flagged.
+    That candidate is the rounded pair-graph 2-cut for k = 2 on graphs and
+    3-graphs (where the 2-cut of a 3-graph halves the underlying multigraph's
+    cut exactly), and for k in {r-1, r} the 3-cut of the underlying-multigraph
+    chain's level 3, lifted back up to k.  Other k get the expectation cut
+    alone and are flagged in notes.  For every 2 <= k <= r the result is
+    checked to have a nonnegative surplus.  For k > r every cut is 0, and the
+    all-zero assignment comes back flagged.
     """
     if k < 2:
         raise InputError(f"need k >= 2, got k={k}")
@@ -372,38 +370,28 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
         return _trivial_cut(h, k, notes=(_BASELINE_NOTE,))
     if k in (h.r - 1, h.r):  # every such path builds the pair graph
         _check_chain(h)
-    if h.r == 3 and k == 3:
-        cut = solve_3cut_auto(h, plan)
-    else:
-        notes: tuple[str, ...] = ()
-        ev = _CutEvaluator(h, k)
-        if k == 2 and h.r <= 3:
-            pairs = h if h.r == 2 else underlying_multigraph(h, 2)
-            a = SymmetricMatrix.from_pair_graph(pairs)
-            bp = best_bipartition(a, seed=_subseed(plan.seed, 3))
-            start = ev.local_search(np.where(np.asarray(bp.x) > 0, 0, 1))
-        elif k in (h.r - 1, h.r):
-            chain: dict[int, Hypergraph] = {h.r: h}
-            for j in range(h.r - 1, 2, -1):
-                chain[j] = underlying_multigraph(chain[j + 1], j)
-            cur = solve_3cut_auto(
-                chain[3], SamplePlan(trials=plan.trials, seed=_subseed(plan.seed, 4))
+    ev = _CutEvaluator(h, k)
+    candidates = [ev.local_search(ev.expectation_cut())]
+    notes: tuple[str, ...] = ()
+    if k == 2 and h.r <= 3:
+        pairs = h if h.r == 2 else underlying_multigraph(h, 2)
+        bp = best_bipartition(SymmetricMatrix.from_pair_graph(pairs), seed=plan.seed)
+        candidates.append(ev.local_search(np.where(np.asarray(bp.x) > 0, 0, 1)))
+    elif k in (h.r - 1, h.r):
+        chain: dict[int, Hypergraph] = {h.r: h}
+        for j in range(h.r - 1, 2, -1):
+            chain[j] = underlying_multigraph(chain[j + 1], j)
+        cur = solve_3cut_auto(chain[3], plan)
+        for j in range(4, k + 1):
+            as_jcut = KCut.from_assignment(chain[j], cur.assignment, j - 1)
+            cur = reduce_cut_up(
+                chain[j], as_jcut, trials=plan.trials, seed=_subseed(plan.seed, 10 + j)
             )
-            for j in range(4, k + 1):
-                as_jcut = KCut.from_assignment(chain[j], cur.assignment, j - 1)
-                cur = reduce_cut_up(
-                    chain[j], as_jcut, trials=plan.trials, seed=_subseed(plan.seed, 10 + j)
-                )
-            start = ev.local_search(cur.assignment)
-        else:
-            notes = (_BASELINE_NOTE,)
-            start = ev.local_search(ev.expectation_cut())
-        rng = np.random.default_rng(_subseed(plan.seed, 5))
-        rand = ev.best(rng.integers(0, k, size=h.n) for _ in range((plan.trials + 3) // 4))
-        cut = KCut.from_assignment(h, ev.best([start, rand, ev.local_search(rand)]), k, notes=notes)
+        # solve_3cut_auto(h) polishes its own result
+        candidates.append(cur.assignment if h.r == 3 else ev.local_search(cur.assignment))
+    else:
+        notes = (_BASELINE_NOTE,)
+    cut = KCut.from_assignment(h, ev.best(candidates), k, notes=notes)
     if cut.surplus < 0:  # the expectation cut makes surplus >= 0 a theorem
-        ev = _CutEvaluator(h, k)
-        cut = KCut.from_assignment(h, ev.local_search(ev.expectation_cut()), k, notes=cut.notes)
-    if cut.surplus < 0:
         raise NumericError(f"{k}-cut {cut.cut_value} has surplus {cut.surplus} < 0")
     return cut

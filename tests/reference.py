@@ -85,7 +85,8 @@ def ref_expectation_cut(h, k):
     for v in range(h.n):
         tails = list(itertools.product(range(k), repeat=h.n - v - 1))
         totals = [
-            int(cut_values(h, np.array([[*assign, b, *t] for t in tails], dtype=np.intp), k).sum())
+            # Python ints: an int64 sum over the tails can wrap for m near 2^53
+            sum(cut_values(h, np.array([[*assign, b, *t] for t in tails], dtype=np.intp), k).tolist())
             for b in range(k)
         ]
         assign.append(totals.index(max(totals)))

@@ -169,8 +169,8 @@ class TestSolve:
 
     def test_one_trial_k_equals_r_surplus_nonnegative(self, tmp_path, capsys):
         # the one trial and the one random draw left the edge uncut, and no
-        # single move cuts it: this printed cut=0 surplus=-4/9 until a cut
-        # below zero gave way to the polished conditional-expectation cut
+        # single move cuts it: this printed cut=0 surplus=-4/9 until the
+        # polished conditional-expectation cut became a candidate
         path = tmp_path / "h.txt"
         path.write_text("3 3\n0 1 2 2\n")
         code, stdout, _ = run(

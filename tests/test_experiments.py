@@ -155,6 +155,10 @@ class TestScalingStudy:
         with pytest.raises(InputError):
             surplus_scaling_study(sizes, reps=reps, seed=0, trials=2)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InputError):
+            surplus_scaling_study([12], reps=1, seed=-1, trials=2)
+
     def test_empty_instance_row(self):
         # n = 3 with p = 1/3 draws zero edges for some seed; the row must be
         # recorded with zeros rather than crashing.

@@ -63,14 +63,18 @@ from reference import (
 )
 
 
+# multiplicities 1, small, and up to 2^53, the largest total edge count
+BIG_MULT = st.integers(1, 3) | st.integers(4, 2**49) | st.just(2**53)
+
+
 @st.composite
-def raw_items(draw, rs=(2, 3, 4), min_n=None):
+def raw_items(draw, rs=(2, 3, 4), min_n=None, mult=st.integers(1, 3)):
     """(r, n, items): edge items as drawn, unsorted and possibly repeated;
     n >= r unless ``min_n`` is given."""
     r = draw(st.sampled_from(rs))
     n = draw(st.integers(r if min_n is None else min_n, 8))
     edge = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True)
-    items = st.lists(st.tuples(edge.map(tuple), st.integers(1, 3)), max_size=12)
+    items = st.lists(st.tuples(edge.map(tuple), mult), max_size=12)
     items = draw(items) if n >= r else []
     return r, n, items
 
@@ -239,15 +243,26 @@ def test_local_search_1flip_rejects_bad_stacks():
 
 
 @settings(max_examples=60, deadline=None)
-@given(graphs(rs=(2, 3, 4, 5)), st.data())
-def test_expectation_cut_matches_enumeration(h, data):
+@given(raw_items(rs=(2, 3, 4, 5), mult=BIG_MULT), st.data())
+def test_expectation_cut_matches_enumeration(raw, data):
     """Each vertex's part maximises the exact expected cut, and the cut is at
-    least the uniformly random one's expectation."""
+    least the uniformly random one's expectation, with multiplicities up to
+    2^53."""
+    r, n, items = raw
+    assume(sum(m for _, m in items) <= 2**53)
+    h = Hypergraph.from_edges(r, n, items)
     k = data.draw(st.integers(2, h.r))
     assume(k ** h.n <= 5**5)
     found = _CutEvaluator(h, k).expectation_cut().tolist()
     assert found == ref_expectation_cut(h, k)
     assert cut_size(h, found, k) >= random_cut_coefficient(h.r, k) * h.m
+
+
+def test_expectation_cut_tells_heavy_weights_one_apart():
+    """Vertex 2 gains 2^50 + 1 in part 1 and 2^50 in part 0: float32 sums
+    would tie them and send it to part 0."""
+    h = Hypergraph.from_edges(2, 3, [((0, 1), 1), ((0, 2), 2**50 + 1), ((1, 2), 2**50)])
+    assert _CutEvaluator(h, 2).expectation_cut().tolist() == ref_expectation_cut(h, 2) == [0, 1, 1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,9 +366,8 @@ def written_graphs(draw):
     """r from 2 to 5, n from 0, multiplicities 1, small, and up to 2^53."""
     r = draw(st.integers(2, 5))
     n = draw(st.sampled_from([0, r, 9, 2**63 - 1]))
-    mult = st.integers(1, 3) | st.integers(4, 2**49) | st.just(2**53)
     edge = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True)
-    items = draw(st.lists(st.tuples(edge.map(tuple), mult), max_size=12)) if n >= r else []
+    items = draw(st.lists(st.tuples(edge.map(tuple), BIG_MULT), max_size=12)) if n >= r else []
     assume(sum(m for _, m in items) <= 2**53)
     return Hypergraph.from_edges(r, n, items)
 

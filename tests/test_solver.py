@@ -270,6 +270,11 @@ class TestSolveKCut:
         with pytest.raises(InputError):
             solve_kcut(gen_complete(2, 4), 3, SamplePlan())
 
+    @pytest.mark.parametrize("trials, seed", [(0, 0), (1, -1)])
+    def test_sample_plan_rejects_bad_values(self, trials, seed):
+        with pytest.raises(InputError):
+            SamplePlan(trials=trials, seed=seed)
+
 
 @st.composite
 def kcut_instances(draw, min_r, k_below_r):
@@ -294,5 +299,9 @@ def test_baseline_only_surplus_nonnegative(instance, seed):
 @settings(max_examples=150, deadline=None)
 @given(kcut_instances(2, 0), st.integers(0, 2**32))
 def test_surplus_nonnegative_for_every_k_up_to_r(instance, seed):
+    """Every path offers the polished conditional-expectation cut."""
     h, k = instance
-    assert solve_kcut(h, k, SamplePlan(trials=1, seed=seed)).surplus >= 0
+    cut = solve_kcut(h, k, SamplePlan(trials=1, seed=seed))
+    ev = _CutEvaluator(h, k)
+    assert cut.cut_value >= ev.value(ev.local_search(ev.expectation_cut()))
+    assert cut.surplus >= 0
