@@ -43,26 +43,19 @@ def gram_vectors(e: EigenDecomposition) -> np.ndarray:
     return e.vectors[:, negative_eigenvalue_mask(e)].copy()
 
 
-def _signs_from_inner(inner: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    # exact zeros (zero-norm z_i included) get independent fair coins
-    signs = np.sign(inner)
-    zeros = signs == 0
-    if zeros.any():
-        signs[zeros] = rng.integers(0, 2, size=int(zeros.sum())) * 2 - 1
-    return signs
-
-
 def gaussian_sign_round(
     z: np.ndarray, a: SymmetricMatrix, trials: int, seed
 ) -> BipartitionResult:
-    """Best of ``trials`` Gaussian hyperplane roundings, deterministic in seed."""
+    """Best of ``trials`` Gaussian hyperplane roundings, deterministic in
+    ``seed``: an int, or a ``numpy.random.Generator`` drawn from directly.
+    An exact-zero inner product (a zero row of z included) gives sign +1."""
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     if len(z) != a.n:
         raise InputError(f"dimension mismatch: {len(z)} vectors for a {a.n}x{a.n} matrix")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((trials, z.shape[1]))
-    signs = _signs_from_inner(g @ z.T, rng)
+    signs = np.where(g @ z.T < 0, -1.0, 1.0)
     values = -0.25 * np.einsum("ti,ti->t", signs @ a.a, signs)
     best = int(np.argmax(values))
     return BipartitionResult(
@@ -117,22 +110,13 @@ def local_search_1flip(a: SymmetricMatrix, x) -> BipartitionResult:
 def best_bipartition(
     a: SymmetricMatrix, trials: int | None = None, seed=0
 ) -> BipartitionResult:
-    """Best 2-cut found by spectral rounding, eigenvector sign patterns, and a
-    random baseline, each polished by 1-flip local search."""
+    """Best 2-cut found by 1-flip local search from the best Gaussian
+    rounding (``seed`` goes to gaussian_sign_round) and from each negative
+    eigenvector's sign pattern, zeros to +1."""
     if np.any(np.diag(a.a) != 0):
         raise InputError("matrix must have zero diagonal")
-    n = a.n
     if trials is None:
-        trials = 100 * max(1, n.bit_length())  # 100 * ceil(log2(n + 1))
-    rng = np.random.default_rng(seed)
-    round_seed = rng.integers(0, 2**63)
-    dec = eigen_decompose(a)
-    z = gram_vectors(dec)
-    rounded = gaussian_sign_round(z, a, trials, round_seed)
-    # the rounding, an all-random baseline, and each negative eigenvector's signs
-    candidates = [
-        np.asarray(rounded.x, dtype=float),
-        rng.integers(0, 2, size=n).astype(float) * 2 - 1,
-    ]
-    candidates += [_signs_from_inner(col, rng) for col in z.T]
-    return local_search_1flip(a, np.stack(candidates))
+        trials = 100 * max(1, a.n.bit_length())  # 100 * ceil(log2(n + 1))
+    z = gram_vectors(eigen_decompose(a))
+    rounded = gaussian_sign_round(z, a, trials, seed)
+    return local_search_1flip(a, np.vstack([rounded.x, np.where(z.T < 0, -1.0, 1.0)]))

@@ -70,7 +70,7 @@ class ReducedInstance:
 
 
 def _subseed(seed: int, tag: int) -> int:
-    ss = np.random.SeedSequence([int(seed) & (2**63 - 1), tag])
+    ss = np.random.SeedSequence([int(seed), tag])
     return int(ss.generate_state(2, dtype=np.uint64)[0] & (2**63 - 1))
 
 
@@ -229,7 +229,7 @@ def _sampled_cut(h: Hypergraph, rng: np.random.Generator) -> np.ndarray:
     assign[sampled] = 0
     if len(red.weights):
         a = SymmetricMatrix(adjacency(len(red.rest), red.pairs, red.weights))
-        bp = best_bipartition(a, seed=int(rng.integers(0, 2**63)))
+        bp = best_bipartition(a, seed=rng)  # one stream per trial: X, then its Gaussians
         signs = np.asarray(bp.x)
         rest = np.asarray(red.rest, dtype=np.intp)
         assign[rest[signs < 0]] = 2
@@ -291,7 +291,8 @@ def preprocess_heavy(
 
 
 def solve_3cut_auto(h: Hypergraph, plan: SamplePlan) -> KCut:
-    """solve_3cut on H and on its heavy-pair-stripped core, best of the two."""
+    """solve_3cut on H and on its heavy-pair-stripped core, best of the two;
+    the core's cut keeps the direct cut's parts on the stripped vertices."""
     if h.r != 3:
         raise InputError(f"solve_3cut_auto needs r=3, got r={h.r}")
     direct = solve_3cut(h, plan)
@@ -302,8 +303,7 @@ def solve_3cut_auto(h: Hypergraph, plan: SamplePlan) -> KCut:
     if sub.m == 0:
         return direct
     part = solve_3cut(sub, SamplePlan(trials=plan.trials, seed=_subseed(plan.seed, 1)))
-    rng = np.random.default_rng(_subseed(plan.seed, 2))
-    assign = rng.integers(0, 3, size=h.n).astype(np.intp)
+    assign = np.array(direct.assignment, dtype=np.intp)
     assign[list(ids)] = part.assignment
     ev = _CutEvaluator(h, 3)
     return KCut.from_assignment(h, ev.best([direct.assignment, ev.local_search(assign)]), 3)
@@ -376,7 +376,8 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
     if k == 2 and h.r <= 3:
         pairs = h if h.r == 2 else underlying_multigraph(h, 2)
         bp = best_bipartition(SymmetricMatrix.from_pair_graph(pairs), seed=plan.seed)
-        candidates.append(ev.local_search(np.where(np.asarray(bp.x) > 0, 0, 1)))
+        # a 1-flip optimum is k-way optimal: the pair-graph cut is r - 1 times h's
+        candidates.append(np.where(np.asarray(bp.x) > 0, 0, 1))
     elif k in (h.r - 1, h.r):
         chain: dict[int, Hypergraph] = {h.r: h}
         for j in range(h.r - 1, 2, -1):

@@ -87,6 +87,21 @@ class TestGaussianSignRound:
         with pytest.raises(InputError):
             gaussian_sign_round(z, K3, trials=0, seed=0)
 
+    def test_zero_row_gets_plus_one(self):
+        a = SymmetricMatrix([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        z = np.array([[1.0], [-1.0], [0.0]])
+        for seed in range(20):
+            assert gaussian_sign_round(z, a, trials=3, seed=seed).x[2] == 1
+
+    def test_generator_seed_is_drawn_from(self):
+        z = gram_vectors(eigen_decompose(K5))
+        rng = np.random.default_rng(4)
+        assert gaussian_sign_round(z, K5, 7, rng) == gaussian_sign_round(z, K5, 7, 4)
+        # the call consumed exactly its (trials, d) Gaussians from the stream
+        ref = np.random.default_rng(4)
+        ref.standard_normal((7, z.shape[1]))
+        assert rng.random() == ref.random()
+
 
 class TestLocalSearch:
     def test_one_edge_single_flip(self):
@@ -147,6 +162,31 @@ class TestBestBipartition:
     def test_deterministic(self):
         a = SymmetricMatrix.from_pair_graph(random_multigraph(9, seed=7))
         assert best_bipartition(a, seed=5) == best_bipartition(a, seed=5)
+
+    def test_generator_seed_is_drawn_from(self):
+        a = SymmetricMatrix.from_pair_graph(random_multigraph(9, seed=8))
+        for seed in range(5):
+            assert best_bipartition(a, seed=seed) == best_bipartition(
+                a, seed=np.random.default_rng(seed)
+            )
+
+    def test_isolated_vertex_stays_plus_one(self):
+        # vertex n-1 has no edge: its Gram row is exactly zero, so every start
+        # gives it +1, and no flip of it can improve
+        for g_seed in range(3):
+            g = random_multigraph(8, seed=g_seed + 30)
+            padded = Hypergraph(2, 9, g.edges, g.mult)
+            a = SymmetricMatrix.from_pair_graph(padded)
+            for seed in range(20):
+                assert best_bipartition(a, trials=10, seed=seed).x[8] == 1
+
+    def test_start_pool_is_rounding_and_eigenvector_signs(self):
+        for seed in range(8):
+            a = SymmetricMatrix.from_pair_graph(random_multigraph(10, seed=seed + 200))
+            z = gram_vectors(eigen_decompose(a))
+            rounded = gaussian_sign_round(z, a, 30, seed)
+            starts = np.vstack([rounded.x, np.where(z.T < 0, -1.0, 1.0)])
+            assert best_bipartition(a, trials=30, seed=seed) == local_search_1flip(a, starts)
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(InputError):

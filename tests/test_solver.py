@@ -11,12 +11,15 @@ from hypercut import (
     InputError,
     KCut,
     SamplePlan,
+    SymmetricMatrix,
+    best_bipartition,
     brute_force_max_kcut,
     cut_size,
     gen_complete,
     gen_random_3graph,
     gen_random_linear_3graph,
     gen_random_uniform,
+    induced_sub,
     preprocess_heavy,
     random_cut_coefficient,
     reduce_cut_up,
@@ -24,8 +27,9 @@ from hypercut import (
     solve_3cut,
     solve_3cut_auto,
     solve_kcut,
+    underlying_multigraph,
 )
-from hypercut.solver import _CutEvaluator
+from hypercut.solver import _CutEvaluator, _subseed
 
 TRIPLE = Hypergraph.from_edges(3, 3, [(0, 1, 2)])
 
@@ -171,6 +175,25 @@ class TestSolve3CutAuto:
                 >= solve_3cut(h, plan).cut_value
             )
 
+    def test_stripped_vertices_keep_the_direct_parts(self):
+        for seed in range(5):
+            # a sparse linear 3-graph plus a heavy pair {0, 1}: only 0 and 1
+            # and high-degree vertices are stripped, and the core keeps edges
+            lin, _ = gen_random_linear_3graph(30, 16, seed=seed)
+            rows = [*map(tuple, lin.edges.tolist()), *((0, 1, v) for v in range(2, 6))]
+            h = Hypergraph.from_edges(3, 30, rows)
+            plan = SamplePlan(trials=6, seed=seed)
+            w, _ = preprocess_heavy(h)
+            sub, ids = induced_sub(h, w)
+            assert len(w) < h.n and sub.m > 0
+            direct = solve_3cut(h, plan)
+            core = solve_3cut(sub, SamplePlan(trials=6, seed=_subseed(seed, 1)))
+            lifted = np.array(direct.assignment)
+            lifted[list(ids)] = core.assignment
+            ev = _CutEvaluator(h, 3)
+            best = ev.best([direct.assignment, ev.local_search(lifted)])
+            assert solve_3cut_auto(h, plan).assignment == tuple(best)
+
 
 class TestReduceCutUp:
     def test_single_edge_lift(self):
@@ -275,6 +298,14 @@ class TestSolveKCut:
         with pytest.raises(InputError):
             SamplePlan(trials=trials, seed=seed)
 
+    def test_subseed_keeps_large_seeds_apart(self):
+        # seeds below 2^63 keep their streams; larger ones no longer fold
+        assert _subseed(0, 1) == 5836529245451711556
+        assert _subseed(2**63 - 1, 1) == 1313972901627904588
+        assert _subseed(12345, 13) == 6493456769220162241
+        assert len({_subseed(s, 1) for s in (0, 2**63, 2**64, 2**100)}) == 4
+        assert all(0 <= _subseed(2**100 + t, t) < 2**63 for t in (1, 2, 13))
+
 
 @st.composite
 def kcut_instances(draw, min_r, k_below_r):
@@ -294,6 +325,30 @@ def test_baseline_only_surplus_nonnegative(instance, seed):
     cut = solve_kcut(h, k, SamplePlan(trials=1, seed=seed))
     assert cut.surplus >= 0
     assert h.m == 0 or any("baseline" in note for note in cut.notes)
+
+
+@st.composite
+def pair_rounded(draw):
+    """(h, a): a graph or 3-graph on at most 12 vertices with multiplicities
+    1-3, and the rounded 2-cut of its pair graph as parts {0, 1}."""
+    r = draw(st.integers(2, 3))
+    n = draw(st.integers(r, 12))
+    edge = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True)
+    items = draw(st.lists(st.tuples(edge.map(tuple), st.integers(1, 3))))
+    h = Hypergraph.from_edges(r, n, items)
+    pairs = h if r == 2 else underlying_multigraph(h, 2)
+    seed = draw(st.integers(0, 2**32))
+    bp = best_bipartition(SymmetricMatrix.from_pair_graph(pairs), seed=seed)
+    return h, np.where(np.asarray(bp.x) > 0, 0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_rounded())
+def test_rounded_2cut_is_a_kway_local_optimum(instance):
+    """The pair-graph cut is r - 1 times the 2-cut of h, so a 1-flip optimum
+    leaves k-way search nothing to move."""
+    h, a = instance
+    assert np.array_equal(_CutEvaluator(h, 2).local_search(a), a)
 
 
 @settings(max_examples=150, deadline=None)
