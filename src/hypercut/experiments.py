@@ -12,7 +12,7 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .generators import gen_random_3graph
 from .hypergraph import Hypergraph, degree_profile
-from .solver import SamplePlan, solve_3cut_auto
+from .solver import SamplePlan, solve_kcut
 from .spectral import SymmetricMatrix, adjacency, eigen_decompose
 
 # Largest number of repetitions a study runs; both keep every record in memory.
@@ -128,9 +128,10 @@ def surplus_scaling_study(
     seed: int,
     trials: int = 8,
 ) -> list[ScalingRow]:
-    """For each n: draw a random 3-graph with p = 1/n, solve it, and record the
-    achieved surplus.  ``trials`` is the solver's sampling budget per run;
-    exponent fitting is left to post-processing (see fit_loglog_slope)."""
+    """For each n: draw a random 3-graph with p = 1/n, solve it as
+    ``hypercut solve --k 3`` does (solve_kcut), and record the achieved
+    surplus.  ``trials`` is the solver's sampling budget per run; exponent
+    fitting is left to post-processing (see fit_loglog_slope)."""
     if not sizes or min(sizes) < 1:
         raise InputError(f"sizes must be a nonempty list of integers >= 1, got {sizes}")
     _check_reps(reps)
@@ -144,19 +145,8 @@ def surplus_scaling_study(
                 int(x & (2**63 - 1)) for x in child.generate_state(2, dtype=np.uint64)
             )
             h = gen_random_3graph(n, 1.0 / n, gen_seed)
-            if h.m == 0:
-                rows.append(ScalingRow(n=n, rep=rep, m=0, cut_value=0, surplus=0.0))
-                continue
-            cut = solve_3cut_auto(h, SamplePlan(trials=trials, seed=solve_seed))
-            rows.append(
-                ScalingRow(
-                    n=n,
-                    rep=rep,
-                    m=h.m,
-                    cut_value=cut.cut_value,
-                    surplus=float(cut.surplus),
-                )
-            )
+            cut = solve_kcut(h, 3, SamplePlan(trials=trials, seed=solve_seed))
+            rows.append(ScalingRow(n, rep, h.m, cut.cut_value, float(cut.surplus)))
     return rows
 
 
@@ -165,11 +155,13 @@ def scaling_to_csv(rows: list[ScalingRow]) -> str:
 
 
 def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
-    """Least-squares slope of log(y) against log(x); needs positive data."""
-    if len(points) < 2:
-        raise InputError("need at least two points to fit a slope")
-    xy = np.array(points, dtype=float)
-    if not np.all(xy > 0):
-        raise InputError("log-log fit needs positive x and y")
+    """Least-squares slope of log(y) against log(x).  Only a fit with a slope
+    is answered: every x and y must be finite and positive, and the points
+    must hold at least two distinct x values."""
+    xy = np.array(points, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(xy) & (xy > 0)):
+        raise InputError("log-log fit needs finite positive x and y")
+    if len(np.unique(xy[:, 0])) < 2:
+        raise InputError("need at least two distinct x values to fit a slope")
     logs = np.log(xy)
     return float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])

@@ -249,24 +249,16 @@ def solve_3cut(h: Hypergraph, plan: SamplePlan) -> KCut:
     return KCut.from_assignment(h, ev.local_search(winner), 3)
 
 
-def preprocess_heavy(
-    h: Hypergraph, d: int | None = None, delta: int | None = None
-) -> tuple[tuple[int, ...], dict]:
+def preprocess_heavy(h: Hypergraph) -> tuple[tuple[int, ...], dict]:
     """Strip a maximal matching of heavy pairs and all high-degree vertices.
 
     A pair is heavy when its weight in the underlying multigraph is at least
-    ``d``; a vertex is high-degree when its weighted pair degree exceeds
-    ``delta``.  Defaults are d = ceil(m^(1/5)) and delta = ceil(m^(3/5)).
+    d = ceil(m^(1/5)); a vertex is high-degree when its weighted pair degree
+    exceeds delta = ceil(m^(3/5)).  Both are at least 1, also for m = 0.
     """
     if h.r != 3:
         raise InputError(f"heavy-pair preprocessing needs r=3, got r={h.r}")
-    m = h.m
-    if d is None:
-        d = max(1, math.ceil(m ** 0.2)) if m else 1
-    if delta is None:
-        delta = max(1, math.ceil(m ** 0.6)) if m else 1
-    if d < 1 or delta < 1:
-        raise InputError("thresholds must be >= 1")
+    d, delta = (max(1, math.ceil(h.m ** e)) for e in (0.2, 0.6))
     pairs = underlying_multigraph(h, 2)
     deg = np.zeros(h.n, dtype=np.int64)
     np.add.at(deg, pairs.edges, pairs.mult[:, None])
@@ -297,7 +289,7 @@ def solve_3cut_auto(h: Hypergraph, plan: SamplePlan) -> KCut:
         raise InputError(f"solve_3cut_auto needs r=3, got r={h.r}")
     direct = solve_3cut(h, plan)
     w, _report = preprocess_heavy(h)
-    if len(w) == h.n or h.m == 0:
+    if len(w) == h.n:
         return direct
     sub, ids = induced_sub(h, w)
     if sub.m == 0:

@@ -23,6 +23,7 @@ from hypercut import (
     surplus_scaling_study,
     underlying_multigraph,
 )
+from hypercut import experiments
 from hypercut.spectral import SymmetricMatrix
 
 
@@ -159,6 +160,22 @@ class TestScalingStudy:
         with pytest.raises(InputError):
             surplus_scaling_study([12], reps=1, seed=-1, trials=2)
 
+    def test_solves_through_solve_kcut(self, monkeypatch):
+        calls = []
+        real = experiments.solve_kcut
+
+        def spy(h, k, plan):
+            cut = real(h, k, plan)
+            calls.append((h, k, cut))
+            return cut
+
+        monkeypatch.setattr(experiments, "solve_kcut", spy)
+        rows = surplus_scaling_study([12, 18], reps=2, seed=3, trials=4)
+        assert len(calls) == len(rows)
+        for row, (h, k, cut) in zip(rows, calls):
+            assert (k, h.n, h.m) == (3, row.n, row.m)
+            assert (row.cut_value, row.surplus) == (cut.cut_value, float(cut.surplus))
+
     def test_empty_instance_row(self):
         # n = 3 with p = 1/3 draws zero edges for some seed; the row must be
         # recorded with zeros rather than crashing.
@@ -181,6 +198,17 @@ class TestSlopeFit:
     def test_rejects_non_positive(self, pts):
         with pytest.raises(InputError):
             fit_loglog_slope(pts)
+
+    @pytest.mark.parametrize(
+        "pts", [[(10.0, 5.0), (20.0, math.inf)], [(10.0, 5.0), (math.inf, 6.0)]]
+    )
+    def test_rejects_non_finite(self, pts):
+        with pytest.raises(InputError):
+            fit_loglog_slope(pts)
+
+    def test_rejects_one_distinct_x(self):
+        with pytest.raises(InputError):
+            fit_loglog_slope([(10.0, 5.0), (10.0, 6.0)])
 
     def test_needs_two_points(self):
         with pytest.raises(InputError):

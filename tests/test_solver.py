@@ -123,23 +123,50 @@ class TestSolve3Cut:
             assert cut.surplus >= 0
 
 
+def _padded(rows, m):
+    """The 3-graph of ``rows`` plus disjoint triples on fresh vertices, m edges
+    in all, so that m alone sets preprocess_heavy's thresholds."""
+    n = 1 + max(max(row) for row in rows)
+    pad = [tuple(range(n + 3 * i, n + 3 * i + 3)) for i in range(m - len(rows))]
+    return Hypergraph.from_edges(3, n + 3 * len(pad), [*rows, *pad])
+
+
 class TestPreprocessHeavy:
     def test_linear_has_no_heavy_pairs(self):
-        h, _ = gen_random_linear_3graph(10, 10, seed=3)
-        w, report = preprocess_heavy(h, d=2, delta=10**6)
-        assert report["matching_vertices"] == 0
-        assert w == tuple(range(10))
+        for seed in range(5):
+            h, _ = gen_random_linear_3graph(30, 20, seed=seed)
+            _, report = preprocess_heavy(h)  # every pair has weight 1 < d = 2
+            assert report["matching_vertices"] == 0
 
     def test_heavy_pair_removed(self):
         h = Hypergraph.from_edges(3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
-        w, report = preprocess_heavy(h, d=3, delta=10**6)
-        assert 0 not in w and 1 not in w
+        w, report = preprocess_heavy(h)  # m = 3: d = 2, delta = 2
+        assert w == (2, 3, 4)
         assert report["matching_vertices"] == 2
 
     def test_low_degree_keeps_everyone(self):
-        h = gen_complete(3, 5)
-        _, report = preprocess_heavy(h, d=10**6, delta=10**6)
-        assert report["high_degree_vertices"] == 0
+        h = Hypergraph.from_edges(3, 9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+        w, report = preprocess_heavy(h)  # pair degree 2 <= delta = 2
+        assert report["high_degree_vertices"] == report["matching_vertices"] == 0
+        assert w == tuple(range(9))
+
+    @pytest.mark.parametrize("mult, stripped", [(3, True), (2, False)])
+    def test_pair_weight_at_d_is_heavy(self, mult, stripped):
+        # m = 33: d = ceil(33^0.2) = 3, and delta = 9 keeps every vertex
+        h = _padded([(0, 1, 2 + i) for i in range(mult)], 33)
+        w, report = preprocess_heavy(h)
+        assert (report["d"], report["delta"], report["high_degree_vertices"]) == (3, 9, 0)
+        assert w == tuple(range(2 if stripped else 0, h.n))
+
+    @pytest.mark.parametrize("m, stripped", [(7, False), (5, True)])
+    def test_pair_degree_past_delta_is_high(self, m, stripped):
+        # vertex 0 is in two edges: pair degree 4, against delta = ceil(m^0.6),
+        # 4 at m = 7 and 3 at m = 5; every pair has weight 1 < d = 2
+        h = _padded([(0, 1, 2), (0, 3, 4)], m)
+        w, report = preprocess_heavy(h)
+        assert report["delta"] == (3 if stripped else 4)
+        assert report["matching_vertices"] == 0
+        assert w == tuple(range(1 if stripped else 0, h.n))
 
     def test_default_thresholds(self):
         h = gen_complete(3, 6)  # m = 20
