@@ -9,8 +9,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from .errors import CapacityError, InputError, NumericError
 from .experiments import (
     colored_sampling_experiment,
@@ -30,15 +28,13 @@ from .hypergraph import (
     random_cut_coefficient,
 )
 from .oracle import brute_force_max_kcut
-from .solver import SamplePlan, solve_kcut
+from .solver import SamplePlan, child_seeds, solve_kcut
 
 
-def _report_dict(command: str, input_path: str, seed: int, params: dict, cut: KCut) -> dict:
-    with open(input_path, "rb") as fh:
-        input_digest = hashlib.sha256(fh.read()).hexdigest()
+def _report_dict(command: str, data: bytes, seed: int, params: dict, cut: KCut) -> dict:
     report = {
         "command": command,
-        "input_digest": input_digest,
+        "input_digest": hashlib.sha256(data).hexdigest(),
         "seed": seed,
         "parameters": params,
         "assignment": list(cut.assignment),
@@ -59,7 +55,9 @@ def _write_report(report: dict, path: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    h = load_hypergraph(args.file)
+    with open(args.file, "rb") as fh:  # read once: a pipe gives its bytes only once
+        data = fh.read()
+    h = load_hypergraph(data)
     k = args.k
     start = time.perf_counter()
     if args.oracle:
@@ -68,7 +66,7 @@ def _cmd_solve(args) -> int:
         cut = solve_kcut(h, k, SamplePlan(trials=args.trials, seed=args.seed))
     wall = time.perf_counter() - start
     params = {"k": k, "trials": args.trials, "oracle": bool(args.oracle)}
-    report = _report_dict("solve", args.file, args.seed, params, cut)
+    report = _report_dict("solve", data, args.seed, params, cut)
     if 2 <= k <= h.r:
         report["coefficient"] = str(random_cut_coefficient(h.r, k))
     report["wall_time_s"] = wall
@@ -103,10 +101,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.kind == "concentration":
-        ss = np.random.SeedSequence(args.seed)
-        gen_seed, samp_seed = (
-            int(x & (2**63 - 1)) for x in ss.generate_state(2, dtype=np.uint64)
-        )
+        gen_seed, samp_seed = child_seeds(args.seed, 2)
         h = gen_random_3graph(args.n, args.edge_prob, gen_seed)
         records = colored_sampling_experiment(h, args.p, args.reps, samp_seed)
         csv = records_to_csv(records)
@@ -145,7 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a max-k-cut instance from a file")
     p_solve.add_argument("--file", required=True)
     p_solve.add_argument("--k", type=int, required=True)
-    p_solve.add_argument("--trials", type=int, default=30)
+    p_solve.add_argument("--trials", type=int, default=30, help=(
+        "sampled 3-cut trials of the direct and the heavy-pair core solve, and draws per lift "
+        "up the k-cut chain; k = 2, a baseline-only k and --oracle ignore it"))
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--oracle", action="store_true", help="exhaustive scan")
     p_solve.add_argument("--report", help="write a JSON report to this path")
@@ -168,7 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--p", type=float, default=1.0 / 3.0)
     p_exp.add_argument("--reps", type=int, default=100)
     p_exp.add_argument("--sizes", default="40,80,160")
-    p_exp.add_argument("--trials", type=int, default=8)
+    p_exp.add_argument("--trials", type=int, default=8, help=(
+        "scaling: the solve --k 3 --trials of each instance; concentration ignores it"))
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--out", required=True)
     p_exp.set_defaults(func=_cmd_experiment)

@@ -4,6 +4,7 @@ scaling, with CSV emission for offline analysis."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -12,7 +13,7 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .generators import gen_random_3graph
 from .hypergraph import Hypergraph, degree_profile
-from .solver import SamplePlan, solve_kcut
+from .solver import SamplePlan, child_seeds, solve_kcut
 from .spectral import SymmetricMatrix, adjacency, eigen_decompose
 
 # Largest number of repetitions a study runs; both keep every record in memory.
@@ -137,16 +138,12 @@ def surplus_scaling_study(
     _check_reps(reps)
     SamplePlan(trials=trials, seed=seed)  # rejects a bad budget or seed before any draw
     rows: list[ScalingRow] = []
-    ss = np.random.SeedSequence(seed)
-    for n in sizes:
-        for rep in range(reps):
-            child = ss.spawn(1)[0]
-            gen_seed, solve_seed = (
-                int(x & (2**63 - 1)) for x in child.generate_state(2, dtype=np.uint64)
-            )
-            h = gen_random_3graph(n, 1.0 / n, gen_seed)
-            cut = solve_kcut(h, 3, SamplePlan(trials=trials, seed=solve_seed))
-            rows.append(ScalingRow(n, rep, h.m, cut.cut_value, float(cut.surplus)))
+    for i, (n, rep) in enumerate(itertools.product(sizes, range(reps))):
+        # the words of SeedSequence(seed)'s i-th spawned child
+        gen_seed, solve_seed = child_seeds(seed, 2, spawn_key=(i,))
+        h = gen_random_3graph(n, 1.0 / n, gen_seed)
+        cut = solve_kcut(h, 3, SamplePlan(trials=trials, seed=solve_seed))
+        rows.append(ScalingRow(n, rep, h.m, cut.cut_value, float(cut.surplus)))
     return rows
 
 

@@ -9,10 +9,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .hypergraph import MAX_UNIFORMITY, Hypergraph
+from .hypergraph import MAX_IDS, MAX_UNIFORMITY, Hypergraph
 
-# Largest number of potential edges C(n, r) a generator enumerates, and of
-# vertex ids r * m it materialises for the m edges it keeps.
+# Largest number of potential edges C(n, r) a generator enumerates.
 MAX_CANDIDATES = 10**8
 # Floats gen_random_uniform draws at once: bounds its memory by the kept edges.
 _DRAW = 1 << 16
@@ -31,10 +30,8 @@ def _candidates(r: int, n: int) -> int:
 
 
 def _check_ids(r: int, m: float) -> None:
-    if r * m > MAX_CANDIDATES:
-        raise CapacityError(
-            f"{r} x {m:.0f} edges need more than {MAX_CANDIDATES} vertex ids"
-        )
+    if r * m > MAX_IDS:
+        raise CapacityError(f"{r} x {m:.0f} edges need more than {MAX_IDS} vertex ids")
 
 
 def _subsets(r: int, n: int, ranks: np.ndarray) -> Hypergraph:

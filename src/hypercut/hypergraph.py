@@ -56,7 +56,7 @@ def _merge(rows: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one with their multiplicities summed.  Both results are read-only.
 
     Rows of w ids below b, with b^w < 2^63, are compared by one int64 key
-    each, their ids as its base-b digits; wider rows column by column."""
+    each, their ids as its base-b digits; wider rows by ``np.unique``."""
     if len(rows):
         base = int(rows.max()) + 1
         if base ** rows.shape[1] < 2**63:
@@ -66,19 +66,13 @@ def _merge(rows: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if (np.diff(key) < 0).any():  # sorting ordered rows would not move them
                 order = np.argsort(key)
                 rows, mult, key = rows[order], mult[order], key[order]
-            first = np.diff(key, prepend=-1) != 0
+            starts = np.flatnonzero(np.diff(key, prepend=-1) != 0)
+            rows, mult = rows[starts], np.add.reduceat(mult, starts)
         else:
-            # ordered[i]: row i <= row i + 1, decided from the last column to the first
-            ordered = np.ones(len(rows) - 1, dtype=bool)
-            for prev, nxt in zip(rows[:-1].T[::-1], rows[1:].T[::-1]):
-                ordered = (prev < nxt) | ((prev == nxt) & ordered)
-            if not ordered.all():
-                order = np.lexsort(rows.T[::-1])
-                rows, mult = rows[order], mult[order]
-            first = np.ones(len(rows), dtype=bool)
-            first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        starts = np.flatnonzero(first)
-        rows, mult = rows[starts], np.add.reduceat(mult, starts)
+            rows, inverse = np.unique(rows, axis=0, return_inverse=True)
+            summed = np.zeros(len(rows), dtype=np.int64)
+            np.add.at(summed, inverse.reshape(-1), mult)
+            mult = summed
     rows.setflags(write=False)
     mult.setflags(write=False)
     return rows, mult
@@ -206,6 +200,16 @@ class KCut:
         )
 
 
+MAX_IDS = 10**8  # most vertex ids (r per edge) a generator or the solver's chain holds
+# Cells gathered per scoring chunk (assignments x edges x r): bounds its memory.
+_CELLS = 1 << 19
+
+
+def chunk_rows(h: Hypergraph) -> int:
+    """Assignments that cut_values scores at once, within _CELLS cells."""
+    return max(1, _CELLS // max(h.edges.size, h.n, 1))
+
+
 def cut_values(h: Hypergraph, assign: np.ndarray, k: int) -> np.ndarray:
     """Cut sizes of an (n,) assignment or of each row of a (b, n) batch:
     edges (with multiplicity) whose vertices meet all k parts.  Part ids
@@ -246,7 +250,7 @@ def surplus_of_cut(h: Hypergraph, cut: KCut) -> Fraction:
     return fresh.surplus
 
 
-def _subsets(h: Hypergraph, q: int) -> np.ndarray:
+def edge_subsets(h: Hypergraph, q: int) -> np.ndarray:
     """Every q-subset of every edge: shape (d, C(r, q), q), rows ascending."""
     return h.edges[:, list(itertools.combinations(range(h.r), q))]
 
@@ -256,15 +260,15 @@ def underlying_multigraph(h: Hypergraph, q: int) -> Hypergraph:
     edge containing it, so the total edge count is C(r, q) * m."""
     if not (2 <= q < h.r):
         raise InputError(f"need 2 <= q < r, got q={q}, r={h.r}")
-    subs = _subsets(h, q)
+    subs = edge_subsets(h, q)
     return Hypergraph(q, h.n, subs.reshape(-1, q), np.repeat(h.mult, subs.shape[1]))
 
 
 def degree_profile(h: Hypergraph) -> DegreeProfile:
     """Maximum degree and maximum co-degree (over (r-1)-subsets)."""
     return DegreeProfile(
-        max_degree=_max_merged(_subsets(h, 1), h.mult),
-        max_codegree=_max_merged(_subsets(h, h.r - 1), h.mult),
+        max_degree=_max_merged(edge_subsets(h, 1), h.mult),
+        max_codegree=_max_merged(edge_subsets(h, h.r - 1), h.mult),
     )
 
 
@@ -387,12 +391,15 @@ def parse_hypergraph(text: str) -> Hypergraph:
     return Hypergraph(*header, rows, mult)
 
 
-def load_hypergraph(path) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+def load_hypergraph(source) -> Hypergraph:
+    """Read the text format from a file path, or from the bytes of a file."""
+    if not isinstance(source, bytes):
+        with open(source, "rb") as fh:
+            source = fh.read()
+    try:
+        text = source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not UTF-8 text: {exc}") from None
     return parse_hypergraph(text)
 
 

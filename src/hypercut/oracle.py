@@ -5,11 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .hypergraph import Hypergraph, KCut, cut_values
+from .hypergraph import Hypergraph, KCut, chunk_rows, cut_values
 
-CAPACITY = 10**8
-# Cells gathered per chunk (assignments x edges x r): bounds the chunk's memory.
-_CELLS = 1 << 19
+CAPACITY = 10**8  # largest number of assignments k^n scanned
 
 
 def _growing(length: int, labels: int, top: int) -> np.ndarray:
@@ -55,7 +53,7 @@ def brute_force_max_kcut(h: Hypergraph, k: int) -> KCut:
     # flat[g + shift[i]], flat holding the tails of each top in turn
     flat = np.concatenate(tails)
     shift = (np.cumsum(sizes) - sizes)[tops] - (ends - sizes[tops])
-    chunk = max(1, _CELLS // max(h.edges.size, h.n))
+    chunk = chunk_rows(h)
     best_val, best_assign = -1, None
     total = int(ends[-1])
     for start in range(0, total, chunk):

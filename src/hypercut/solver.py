@@ -21,14 +21,15 @@ import numpy as np
 from .errors import CapacityError, InputError, NumericError
 from .hypergraph import (
     MAX_EDGES,
+    MAX_IDS,
     Hypergraph,
     KCut,
+    chunk_rows,
     cut_values,
     degree_profile,
     induced_sub,
     underlying_multigraph,
 )
-from .oracle import _CELLS, CAPACITY
 from .rounding import best_bipartition
 from .spectral import SymmetricMatrix, adjacency
 
@@ -69,9 +70,12 @@ class ReducedInstance:
         return Hypergraph(2, len(self.rest), self.pairs, self.weights)
 
 
-def _subseed(seed: int, tag: int) -> int:
-    ss = np.random.SeedSequence([int(seed), tag])
-    return int(ss.generate_state(2, dtype=np.uint64)[0] & (2**63 - 1))
+def child_seeds(entropy, count: int, spawn_key: tuple[int, ...] = ()) -> list[int]:
+    """The first ``count`` 64-bit state words of SeedSequence(entropy, spawn_key),
+    top bit cleared.  A word does not depend on ``count``, an int entropy s gives
+    the words of [s], and SeedSequence(s).spawn's i-th child has spawn key (i,)."""
+    ss = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    return [int(word) for word in ss.generate_state(count, np.uint64) & (2**63 - 1)]
 
 
 class _CutEvaluator:
@@ -89,9 +93,9 @@ class _CutEvaluator:
     def best(self, rows: Iterable) -> np.ndarray:
         """The row with the largest cut, ties to the lexicographically
         smallest, so the pick does not depend on the rows' order.  ``rows`` is
-        a (c, n) array or any iterable of (n,) rows, scored in chunks that
-        bound the memory as the oracle's do."""
-        chunk = max(1, _CELLS // max(self.h.edges.size, self.h.n, 1))
+        a (c, n) array or any iterable of (n,) rows, scored chunk_rows at a
+        time, as the oracle scores its assignments."""
+        chunk = chunk_rows(self.h)
         rows, top, win = iter(rows), -1, []
         while len(block := np.array(list(itertools.islice(rows, chunk)), dtype=np.intp)):
             vals = self.value(block)
@@ -249,8 +253,9 @@ def solve_3cut(h: Hypergraph, plan: SamplePlan) -> KCut:
     return KCut.from_assignment(h, ev.local_search(winner), 3)
 
 
-def preprocess_heavy(h: Hypergraph) -> tuple[tuple[int, ...], dict]:
-    """Strip a maximal matching of heavy pairs and all high-degree vertices.
+def preprocess_heavy(h: Hypergraph) -> tuple[tuple[int, ...], Hypergraph, dict]:
+    """Strip a maximal matching of heavy pairs and all high-degree vertices:
+    the kept vertices w, ascending, the core they induce (vertex i is w[i]), a report.
 
     A pair is heavy when its weight in the underlying multigraph is at least
     d = ceil(m^(1/5)); a vertex is high-degree when its weighted pair degree
@@ -279,7 +284,7 @@ def preprocess_heavy(h: Hypergraph) -> tuple[tuple[int, ...], dict]:
         "kept_edges": sub.m,
         "kept_profile": degree_profile(sub),
     }
-    return w, report
+    return w, sub, report
 
 
 def solve_3cut_auto(h: Hypergraph, plan: SamplePlan) -> KCut:
@@ -288,15 +293,13 @@ def solve_3cut_auto(h: Hypergraph, plan: SamplePlan) -> KCut:
     if h.r != 3:
         raise InputError(f"solve_3cut_auto needs r=3, got r={h.r}")
     direct = solve_3cut(h, plan)
-    w, _report = preprocess_heavy(h)
-    if len(w) == h.n:
+    w, core, _report = preprocess_heavy(h)
+    if len(w) == h.n or core.m == 0:
         return direct
-    sub, ids = induced_sub(h, w)
-    if sub.m == 0:
-        return direct
-    part = solve_3cut(sub, SamplePlan(trials=plan.trials, seed=_subseed(plan.seed, 1)))
+    seed = child_seeds([plan.seed, 1], 1)[0]
+    part = solve_3cut(core, SamplePlan(trials=plan.trials, seed=seed))
     assign = np.array(direct.assignment, dtype=np.intp)
-    assign[list(ids)] = part.assignment
+    assign[list(w)] = part.assignment
     ev = _CutEvaluator(h, 3)
     return KCut.from_assignment(h, ev.best([direct.assignment, ev.local_search(assign)]), 3)
 
@@ -328,9 +331,9 @@ def _check_chain(h: Hypergraph) -> None:
     for j in range(h.r - 1, 1, -1):
         rows = min(math.comb(h.n, j + 1), math.comb(h.r, j + 1) * len(h.mult))
         cells, m = cells + rows * (j + 1) * j, m * (j + 1)
-        if cells > CAPACITY or m > MAX_EDGES:
+        if cells > MAX_IDS or m > MAX_EDGES:
             raise CapacityError(
-                f"the chain from r={h.r} down to 2 needs more than {CAPACITY} "
+                f"the chain from r={h.r} down to 2 needs more than {MAX_IDS} "
                 f"vertex ids or {MAX_EDGES} edges"
             )
 
@@ -366,8 +369,7 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
     candidates = [ev.local_search(ev.expectation_cut())]
     notes: tuple[str, ...] = ()
     if k == 2 and h.r <= 3:
-        pairs = h if h.r == 2 else underlying_multigraph(h, 2)
-        bp = best_bipartition(SymmetricMatrix.from_pair_graph(pairs), seed=plan.seed)
+        bp = best_bipartition(SymmetricMatrix.from_pair_graph(h), seed=plan.seed)
         # a 1-flip optimum is k-way optimal: the pair-graph cut is r - 1 times h's
         candidates.append(np.where(np.asarray(bp.x) > 0, 0, 1))
     elif k in (h.r - 1, h.r):
@@ -377,9 +379,8 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
         cur = solve_3cut_auto(chain[3], plan)
         for j in range(4, k + 1):
             as_jcut = KCut.from_assignment(chain[j], cur.assignment, j - 1)
-            cur = reduce_cut_up(
-                chain[j], as_jcut, trials=plan.trials, seed=_subseed(plan.seed, 10 + j)
-            )
+            seed = child_seeds([plan.seed, 10 + j], 1)[0]
+            cur = reduce_cut_up(chain[j], as_jcut, trials=plan.trials, seed=seed)
         # solve_3cut_auto(h) polishes its own result
         candidates.append(cur.assignment if h.r == 3 else ev.local_search(cur.assignment))
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, edge_subsets
 
 # Relative tolerance of the residual check, the negativity margin and the
 # trace check.
@@ -50,11 +50,11 @@ class SymmetricMatrix:
 
     @classmethod
     def from_pair_graph(cls, h: Hypergraph) -> "SymmetricMatrix":
-        """Adjacency matrix of a 2-uniform multigraph: zero diagonal,
-        A(u,v) = edge multiplicity."""
-        if h.r != 2:
-            raise InputError(f"adjacency matrix needs r=2, got r={h.r}")
-        return cls(adjacency(h.n, h.edges, h.mult))
+        """Adjacency matrix of the pair multigraph of h, from each pair of each
+        edge unmerged: zero diagonal, A(u,v) = the total multiplicity of the
+        edges holding u and v (the edge's own multiplicity when r = 2)."""
+        pairs = edge_subsets(h, 2)
+        return cls(adjacency(h.n, pairs.reshape(-1, 2), np.repeat(h.mult, pairs.shape[1])))
 
 
 @dataclass(frozen=True)

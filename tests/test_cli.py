@@ -1,7 +1,9 @@
 """In-process tests of the command-line interface."""
 
+import hashlib
 import json
 import math
+import os
 import time
 import tracemalloc
 from fractions import Fraction
@@ -159,6 +161,26 @@ class TestSolve:
         code, _, err = run(["solve", "--file", str(bad), "--k", "3"], capsys)
         assert code == 2
         assert "line 3" in err
+
+    def test_piped_input_digest(self, tmp_path, capsys):
+        # the report hashes the bytes that were parsed, also when the input
+        # is a pipe that gives its bytes only once
+        data = b"3 4\n0 1 2\n1 2 3 2\n"
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)
+            os.close(write_end)
+            rep = tmp_path / "r.json"
+            code, _, _ = run(
+                ["solve", "--file", f"/dev/fd/{read_end}", "--k", "3", "--report", str(rep)],
+                capsys,
+            )
+        finally:
+            os.close(read_end)
+        assert code == 0
+        report = json.loads(rep.read_text())
+        assert report["input_digest"] == hashlib.sha256(data).hexdigest()
+        assert report["cut_value"] == 3
 
     def test_non_utf8_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

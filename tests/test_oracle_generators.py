@@ -142,7 +142,7 @@ class TestRandomUniform:
         draws = {s: gen_random_uniform(3, 20, 0.5, s) for s in range(40)}
         over = next(s for s, h in draws.items() if h.m > total // 2)
         at = next(s for s, h in draws.items() if h.m == total // 2)
-        with mock.patch.object(generators, "MAX_CANDIDATES", 3 * total // 2), \
+        with mock.patch.object(generators, "MAX_IDS", 3 * total // 2), \
                 mock.patch.object(generators, "_DRAW", draw):
             with pytest.raises(CapacityError):
                 gen_random_uniform(3, 20, 0.5, over)
@@ -197,9 +197,9 @@ class TestLinearGenerator:
 class TestComplete:
     def test_caps_the_vertex_ids(self):
         total = math.comb(12, 4)
-        with mock.patch.object(generators, "MAX_CANDIDATES", 4 * total):
+        with mock.patch.object(generators, "MAX_IDS", 4 * total):
             assert gen_complete(4, 12).m == total
-        with mock.patch.object(generators, "MAX_CANDIDATES", 4 * total - 1):
+        with mock.patch.object(generators, "MAX_IDS", 4 * total - 1):
             with pytest.raises(CapacityError):
                 gen_complete(4, 12)
 

@@ -5,10 +5,10 @@ the lift against one draw per trial, the lockstep 1-flip search against one
 sweep loop per start, the conditional-expectation cut against enumeration
 of completions, the byte-scan parser against the line-by-line one, the
 packed-key canonicaliser on both sides of its int64 bound, the bincount
-adjacency against two ``np.add.at`` passes, the growth-string oracle
-against the full scan, the chunked generators against one draw per
-candidate, the linear packer against one triple at a time, and the
-one-template writer against one f-string per line."""
+adjacency and the pair-graph matrix against two ``np.add.at`` passes, the
+growth-string oracle against the full scan, the chunked generators against
+one draw per candidate, the linear packer against one triple at a time, and
+the one-template writer against one f-string per line."""
 
 import itertools
 import math
@@ -41,7 +41,7 @@ from hypercut import (
     sample_and_reduce,
     underlying_multigraph,
 )
-from hypercut import KCut, generators, hypergraph, oracle, solver
+from hypercut import KCut, generators, hypergraph
 from hypercut.spectral import adjacency
 from hypercut.solver import _CutEvaluator
 from conftest import random_multigraph, random_symmetric
@@ -141,6 +141,16 @@ def test_adjacency_matches_two_add_at_passes(n, floats, data):
     assert adjacency(n, pairs, weights).tobytes() == ref_adjacency(n, pairs, weights).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_pair_graph_matrix_matches_reference(h):
+    """From the unmerged pairs of an r-graph of any r, bit for bit the
+    reference adjacency of its merged pair multigraph."""
+    pairs = h if h.r == 2 else underlying_multigraph(h, 2)
+    expected = ref_adjacency(h.n, pairs.edges, pairs.mult)
+    assert SymmetricMatrix.from_pair_graph(h).a.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=20, deadline=None)
 @given(graphs())
 def test_arrays_are_read_only(h):
@@ -177,8 +187,8 @@ def test_best_cut_matches_reference(h, data):
     expected = ref_best(as_items(h), stack, k)
     ev = _CutEvaluator(h, k)
     rows = data.draw(st.sampled_from([None, 1, 2, 3]), label="chunk rows")
-    cells = solver._CELLS if rows is None else rows * max(h.edges.size, h.n, 1)
-    with mock.patch.object(solver, "_CELLS", cells):
+    cells = hypergraph._CELLS if rows is None else rows * max(h.edges.size, h.n, 1)
+    with mock.patch.object(hypergraph, "_CELLS", cells):
         for given_as in (np.array(stack, dtype=np.intp), map(np.array, stack)):
             assert tuple(ev.best(given_as).tolist()) == expected
 
@@ -275,12 +285,12 @@ def test_oracle_matches_reference_maximum(h, k):
 
 
 @settings(max_examples=80, deadline=None)
-@given(graphs(min_n=0), st.data(), st.sampled_from([oracle._CELLS, 64]))
+@given(graphs(min_n=0), st.data(), st.sampled_from([hypergraph._CELLS, 64]))
 def test_oracle_matches_full_scan(h, data, cells):
     """Same value and assignment as the k^(n-1) scan, for k up to r + 2 (so k
     > n and k > r occur), in one chunk or in chunks of a few rows."""
     k = data.draw(st.integers(2, h.r + 2))
-    with mock.patch.object(oracle, "_CELLS", cells):
+    with mock.patch.object(hypergraph, "_CELLS", cells):
         cut = brute_force_max_kcut(h, k)
     assert (cut.cut_value, cut.assignment) == ref_max_kcut(h, k)
 

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from hypercut import (
     solve_kcut,
     underlying_multigraph,
 )
-from hypercut.solver import _CutEvaluator, _subseed
+from hypercut import solver
+from hypercut.solver import _CutEvaluator, child_seeds
 
 TRIPLE = Hypergraph.from_edges(3, 3, [(0, 1, 2)])
 
@@ -135,18 +137,18 @@ class TestPreprocessHeavy:
     def test_linear_has_no_heavy_pairs(self):
         for seed in range(5):
             h, _ = gen_random_linear_3graph(30, 20, seed=seed)
-            _, report = preprocess_heavy(h)  # every pair has weight 1 < d = 2
+            _, _, report = preprocess_heavy(h)  # every pair has weight 1 < d = 2
             assert report["matching_vertices"] == 0
 
     def test_heavy_pair_removed(self):
         h = Hypergraph.from_edges(3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
-        w, report = preprocess_heavy(h)  # m = 3: d = 2, delta = 2
+        w, _, report = preprocess_heavy(h)  # m = 3: d = 2, delta = 2
         assert w == (2, 3, 4)
         assert report["matching_vertices"] == 2
 
     def test_low_degree_keeps_everyone(self):
         h = Hypergraph.from_edges(3, 9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
-        w, report = preprocess_heavy(h)  # pair degree 2 <= delta = 2
+        w, _, report = preprocess_heavy(h)  # pair degree 2 <= delta = 2
         assert report["high_degree_vertices"] == report["matching_vertices"] == 0
         assert w == tuple(range(9))
 
@@ -154,7 +156,7 @@ class TestPreprocessHeavy:
     def test_pair_weight_at_d_is_heavy(self, mult, stripped):
         # m = 33: d = ceil(33^0.2) = 3, and delta = 9 keeps every vertex
         h = _padded([(0, 1, 2 + i) for i in range(mult)], 33)
-        w, report = preprocess_heavy(h)
+        w, _, report = preprocess_heavy(h)
         assert (report["d"], report["delta"], report["high_degree_vertices"]) == (3, 9, 0)
         assert w == tuple(range(2 if stripped else 0, h.n))
 
@@ -163,14 +165,14 @@ class TestPreprocessHeavy:
         # vertex 0 is in two edges: pair degree 4, against delta = ceil(m^0.6),
         # 4 at m = 7 and 3 at m = 5; every pair has weight 1 < d = 2
         h = _padded([(0, 1, 2), (0, 3, 4)], m)
-        w, report = preprocess_heavy(h)
+        w, _, report = preprocess_heavy(h)
         assert report["delta"] == (3 if stripped else 4)
         assert report["matching_vertices"] == 0
         assert w == tuple(range(1 if stripped else 0, h.n))
 
     def test_default_thresholds(self):
         h = gen_complete(3, 6)  # m = 20
-        _, report = preprocess_heavy(h)
+        _, _, report = preprocess_heavy(h)
         assert report["d"] == 2  # ceil(20^0.2)
         assert report["delta"] == 7  # ceil(20^0.6)
 
@@ -202,6 +204,13 @@ class TestSolve3CutAuto:
                 >= solve_3cut(h, plan).cut_value
             )
 
+    def test_induces_the_core_once(self):
+        # a heavy pair {0, 1} to strip, so the core is solved as well
+        h = _padded([(0, 1, v) for v in range(2, 6)], 12)
+        with mock.patch.object(solver, "induced_sub", wraps=induced_sub) as induced:
+            solve_3cut_auto(h, SamplePlan(trials=2, seed=0))
+        assert induced.call_count == 1
+
     def test_stripped_vertices_keep_the_direct_parts(self):
         for seed in range(5):
             # a sparse linear 3-graph plus a heavy pair {0, 1}: only 0 and 1
@@ -210,13 +219,13 @@ class TestSolve3CutAuto:
             rows = [*map(tuple, lin.edges.tolist()), *((0, 1, v) for v in range(2, 6))]
             h = Hypergraph.from_edges(3, 30, rows)
             plan = SamplePlan(trials=6, seed=seed)
-            w, _ = preprocess_heavy(h)
-            sub, ids = induced_sub(h, w)
-            assert len(w) < h.n and sub.m > 0
+            w, core, _ = preprocess_heavy(h)
+            assert (core, w) == induced_sub(h, w)  # the core and its vertex ids
+            assert len(w) < h.n and core.m > 0
             direct = solve_3cut(h, plan)
-            core = solve_3cut(sub, SamplePlan(trials=6, seed=_subseed(seed, 1)))
+            part = solve_3cut(core, SamplePlan(trials=6, seed=child_seeds([seed, 1], 1)[0]))
             lifted = np.array(direct.assignment)
-            lifted[list(ids)] = core.assignment
+            lifted[list(w)] = part.assignment
             ev = _CutEvaluator(h, 3)
             best = ev.best([direct.assignment, ev.local_search(lifted)])
             assert solve_3cut_auto(h, plan).assignment == tuple(best)
@@ -325,13 +334,29 @@ class TestSolveKCut:
         with pytest.raises(InputError):
             SamplePlan(trials=trials, seed=seed)
 
-    def test_subseed_keeps_large_seeds_apart(self):
+    def test_child_seeds_keep_large_seeds_apart(self):
         # seeds below 2^63 keep their streams; larger ones no longer fold
-        assert _subseed(0, 1) == 5836529245451711556
-        assert _subseed(2**63 - 1, 1) == 1313972901627904588
-        assert _subseed(12345, 13) == 6493456769220162241
-        assert len({_subseed(s, 1) for s in (0, 2**63, 2**64, 2**100)}) == 4
-        assert all(0 <= _subseed(2**100 + t, t) < 2**63 for t in (1, 2, 13))
+        def subseed(seed, tag):
+            return child_seeds([seed, tag], 1)[0]
+
+        assert subseed(0, 1) == 5836529245451711556
+        assert subseed(2**63 - 1, 1) == 1313972901627904588
+        assert subseed(12345, 13) == 6493456769220162241
+        assert len({subseed(s, 1) for s in (0, 2**63, 2**64, 2**100)}) == 4
+        assert all(0 <= subseed(2**100 + t, t) < 2**63 for t in (1, 2, 13))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1, 2**100])
+    def test_child_seeds_match_the_seed_sequence_words(self, seed):
+        """The 63-bit words of SeedSequence(seed) and of each child its spawn
+        hands out, the leading word of any longer state, whatever the count."""
+        def words(ss, count):
+            return [int(x & (2**63 - 1)) for x in ss.generate_state(count, dtype=np.uint64)]
+
+        ss = np.random.SeedSequence(seed)
+        assert child_seeds(seed, 2) == words(ss, 2) == child_seeds([seed], 3)[:2]
+        for i, child in enumerate(ss.spawn(3)):
+            assert child_seeds(seed, 2, spawn_key=(i,)) == words(child, 2)
+        assert child_seeds([seed, 5], 1) == words(np.random.SeedSequence([seed, 5]), 2)[:1]
 
 
 @st.composite
@@ -376,6 +401,23 @@ def test_rounded_2cut_is_a_kway_local_optimum(instance):
     leaves k-way search nothing to move."""
     h, a = instance
     assert np.array_equal(_CutEvaluator(h, 2).local_search(a), a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_rounded())
+def test_k2_rounds_the_merged_pair_graph_matrix(instance):
+    """solve_kcut's k = 2 path densifies each pair of each edge unmerged, with
+    no underlying multigraph built, into the very matrix of the merged pair
+    graph: its integer sums are exact."""
+    h, _ = instance
+    pairs = h if h.r == 2 else underlying_multigraph(h, 2)
+    expected = SymmetricMatrix.from_pair_graph(pairs).a
+    with mock.patch.object(solver, "best_bipartition", wraps=best_bipartition) as rounded, \
+            mock.patch.object(solver, "underlying_multigraph") as built:
+        solve_kcut(h, 2, SamplePlan(trials=1, seed=0))
+    built.assert_not_called()
+    if h.m:
+        assert rounded.call_args.args[0].a.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
