@@ -161,6 +161,15 @@ class Hypergraph:
         ends = np.cumsum(np.bincount(self.edges.ravel(), minlength=self.n))
         return np.split(by_vertex, ends[:-1])
 
+    @functools.cached_property
+    def mult_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(edges, starts, mults): the edge rows in stable multiplicity order,
+        the first row of each run of equal multiplicity, and its multiplicity."""
+        order = np.argsort(self.mult, kind="stable")
+        mult = self.mult[order]
+        starts = np.flatnonzero(np.diff(mult, prepend=0))
+        return self.edges[order], starts, mult[starts]
+
 
 def _max_merged(rows: np.ndarray, mult: np.ndarray) -> int:
     """Largest merged multiplicity of ``rows`` (shape (d, j, w)), where each
@@ -201,13 +210,33 @@ class KCut:
 
 
 MAX_IDS = 10**8  # most vertex ids (r per edge) a generator or the solver's chain holds
-# Cells gathered per scoring chunk (assignments x edges x r): bounds its memory.
+# Cells one scoring step holds (rows x cells per row): bounds its memory.
 _CELLS = 1 << 19
 
 
-def chunk_rows(h: Hypergraph) -> int:
-    """Assignments that cut_values scores at once, within _CELLS cells."""
-    return max(1, _CELLS // max(h.edges.size, h.n, 1))
+def chunk_rows(width: int) -> int:
+    """Rows of ``width`` cells each that one scoring step holds within _CELLS."""
+    return max(1, _CELLS // max(width, 1))
+
+
+def part_masks(bits: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """OR of bits[..., c] over the r columns c of each (d, r) row of ``cols``:
+    per edge, the set of parts its vertices meet, from one-hot part bits."""
+    seen = bits[..., cols[:, 0]]
+    for col in cols.T[1:]:
+        seen |= bits[..., col]
+    return seen
+
+
+def cut_counts(h: Hypergraph, seen: np.ndarray, full: int) -> np.ndarray:
+    """Cut sizes from ``seen`` (..., d), one entry per edge of h.mult_groups:
+    an edge is cut when its entry is ``full``.  The cut edges of each
+    multiplicity group are counted, then weighted by its multiplicity; exact,
+    since a count is at most d < 2^32 (2^32 rows of int64 ids alone would take
+    32 GiB) and every total at most m <= 2^53."""
+    _, starts, mults = h.mult_groups
+    met = (seen == full).view(np.uint8)
+    return np.add.reduceat(met, starts, axis=-1, dtype=np.uint32) @ mults
 
 
 def cut_values(h: Hypergraph, assign: np.ndarray, k: int) -> np.ndarray:
@@ -217,16 +246,12 @@ def cut_values(h: Hypergraph, assign: np.ndarray, k: int) -> np.ndarray:
     assign = np.asarray(assign)
     if k > h.r:
         return np.zeros(assign.shape[:-1], dtype=np.int64)
-    if k > 62:  # too many parts for a bit set: count distinct parts instead
-        parts = np.sort(assign[..., h.edges], axis=-1)
-        met = (parts[..., 1:] != parts[..., :-1]).sum(axis=-1) == k - 1
-    else:  # OR the one-hot part bits over each edge's vertices
-        bits = np.left_shift(1, assign).astype(np.uint8 if k <= 8 else np.int64)
-        seen = bits[..., h.edges[:, 0]]
-        for col in h.edges.T[1:]:
-            seen |= bits[..., col]
-        met = seen == (1 << k) - 1
-    return met @ h.mult
+    edges = h.mult_groups[0]
+    if k > 62:  # too many parts for a bit set: count part changes instead
+        parts = np.sort(assign[..., edges], axis=-1)
+        return cut_counts(h, (parts[..., 1:] != parts[..., :-1]).sum(axis=-1), k - 1)
+    bits = np.left_shift(1, assign).astype(np.uint8 if k <= 8 else np.int64)
+    return cut_counts(h, part_masks(bits, edges), (1 << k) - 1)
 
 
 def cut_size(h: Hypergraph, assignment: Sequence[int], k: int) -> int:

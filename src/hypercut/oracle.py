@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .hypergraph import Hypergraph, KCut, chunk_rows, cut_values
+from .hypergraph import Hypergraph, KCut, chunk_rows, cut_counts, part_masks
 
 CAPACITY = 10**8  # largest number of assignments k^n scanned
 
@@ -17,6 +17,14 @@ def _growing(length: int, labels: int, top: int) -> np.ndarray:
     rows = np.indices((labels,) * length).reshape(length, labels**length).T
     seen = np.maximum.accumulate(np.column_stack([np.full(len(rows), top), rows]), axis=1)
     return rows[(rows <= seen[:, :-1] + 1).all(axis=1)]
+
+
+def _masks(h: Hypergraph, rows: np.ndarray, first: int) -> np.ndarray:
+    """Part masks (len(rows), d) of rows of part ids on the vertices first,
+    first + 1, ...: per edge of h.mult_groups, the parts those vertices meet."""
+    bits = np.zeros((len(rows), h.n), dtype=np.uint8)
+    bits[:, first:first + rows.shape[1]] = np.left_shift(1, rows)
+    return part_masks(bits, h.mult_groups[0])
 
 
 def brute_force_max_kcut(h: Hypergraph, k: int) -> KCut:
@@ -39,29 +47,31 @@ def brute_force_max_kcut(h: Hypergraph, k: int) -> KCut:
         raise CapacityError(
             f"{k}^{h.n} assignments exceed the exhaustive capacity {CAPACITY}"
         )
+    if k > h.r or not len(h.edges):  # every string cuts nothing: the first wins
+        return KCut.from_assignment(h, np.zeros(h.n, dtype=np.intp), k)
+    # Now k <= r <= n and k^n <= 10^8, so k <= 8 and a part set fits a uint8.
     # Each growth string is a head on the first n - t vertices and a tail on
     # the last t; the head table and each tail table hold at most about
     # sqrt(k^n) rows.
-    labels, t = min(k, h.n), h.n // 2
-    rest = _growing(h.n - t - 1, labels, 0)
+    t = h.n // 2
+    rest = _growing(h.n - t - 1, k, 0)
     heads = np.column_stack([np.zeros(len(rest), dtype=np.intp), rest])
     tops = heads.max(axis=1)
-    tails = [_growing(t, labels, top) for top in range(labels)]
-    sizes = np.array([len(rows) for rows in tails])
-    ends = np.cumsum(sizes[tops])  # growth strings through each head
-    # string g has head i = searchsorted(ends, g, "right") and tail
-    # flat[g + shift[i]], flat holding the tails of each top in turn
-    flat = np.concatenate(tails)
-    shift = (np.cumsum(sizes) - sizes)[tops] - (ends - sizes[tops])
-    chunk = chunk_rows(h)
-    best_val, best_assign = -1, None
-    total = int(ends[-1])
-    for start in range(0, total, chunk):
-        g = np.arange(start, min(start + chunk, total))
-        i = np.searchsorted(ends, g, side="right")
-        assigns = np.concatenate([heads[i], flat[g + shift[i]]], axis=1)
-        vals = cut_values(h, assigns, k)
-        idx = int(np.argmax(vals))  # first occurrence = lexicographic min
-        if vals[idx] > best_val:
-            best_val, best_assign = int(vals[idx]), assigns[idx]
-    return KCut.from_assignment(h, best_assign, k)
+    tails = {top: _growing(t, k, top) for top in np.unique(tops).tolist()}
+    # A string's part masks are its head's | its tail's.
+    rows = chunk_rows(max(len(h.edges), h.n))  # strings scored per step
+    best = (1, 0, 0)  # (-cut, head, tail) of the first maximizer so far
+    for top, tail_rows in tails.items():
+        mine = np.flatnonzero(tops == top)
+        step = min(len(tail_rows), rows)  # tails per step
+        span = rows // step  # heads per step
+        for j in range(0, len(tail_rows), step):
+            tail_masks = _masks(h, tail_rows[j:j + step], h.n - t)
+            for i in range(0, len(mine), span):
+                block = mine[i:i + span]
+                head_masks = _masks(h, heads[block], 0)
+                vals = cut_counts(h, head_masks[:, None] | tail_masks, (1 << k) - 1)
+                a, b = np.unravel_index(np.argmax(vals), vals.shape)  # first: smallest
+                best = min(best, (-int(vals[a, b]), int(block[a]), j + int(b)))
+    _, head, tail = best
+    return KCut.from_assignment(h, np.concatenate([heads[head], tails[int(tops[head])][tail]]), k)

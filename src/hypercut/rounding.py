@@ -76,14 +76,19 @@ def local_search_1flip(a: SymmetricMatrix, x) -> BipartitionResult:
     which is the order of repeated sweeps over i = 0, ..., n-1.  At
     termination no single flip improves, so for a nonnegative zero-diagonal
     A the cut is at least half the edge weight.
+
+    A x is one product for the stack, updated flip by flip, and each value
+    is -x.(A x)/4.  For an integer A, as the solver passes, every sum is an
+    exact float64 integer.  For a non-integer A a value may differ from
+    quadratic_surplus in the last bits, and so may the pick among starts
+    whose values tie in exact arithmetic (x and -x always do).
     """
     xs = np.array(x, dtype=float, ndmin=2)
     if xs.shape[1:] != (a.n,) or not np.all(np.abs(xs) == 1):
         raise InputError("x must be +-1 vectors matching the matrix dimension")
     if len(xs) == 0:
         raise InputError("need at least one start")
-    # one gemv per start: the same float sums as a start searched alone
-    ax = np.array([a.a @ row for row in xs])
+    ax = xs @ a.a  # row t is A x_t: A is symmetric
     flips = np.zeros(len(xs), dtype=np.int64)
     cursor = np.zeros((len(xs), 1), dtype=np.intp)
     live = np.arange(len(xs))  # the starts that may still have a flip
@@ -99,11 +104,11 @@ def local_search_1flip(a: SymmetricMatrix, x) -> BipartitionResult:
         ax[live] += (2.0 * xs[live, v])[:, None] * a.a[v]
         flips[live] += 1
         cursor[live, 0] = v + 1
-    values = [quadratic_surplus(a, row) for row in xs]
+    values = -0.25 * np.einsum("ti,ti->t", xs, ax)
     rows = xs.tolist()
     best = min(range(len(xs)), key=lambda t: (-values[t], rows[t]))
     return BipartitionResult(
-        x=tuple(map(int, rows[best])), value=values[best], flips=int(flips[best])
+        x=tuple(map(int, rows[best])), value=float(values[best]), flips=int(flips[best])
     )
 
 

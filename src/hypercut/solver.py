@@ -93,9 +93,9 @@ class _CutEvaluator:
     def best(self, rows: Iterable) -> np.ndarray:
         """The row with the largest cut, ties to the lexicographically
         smallest, so the pick does not depend on the rows' order.  ``rows`` is
-        a (c, n) array or any iterable of (n,) rows, scored chunk_rows at a
-        time, as the oracle scores its assignments."""
-        chunk = chunk_rows(self.h)
+        a (c, n) array or any iterable of (n,) rows, scored a chunk at a time:
+        each row gathers r cells per edge."""
+        chunk = chunk_rows(max(self.h.edges.size, self.h.n))
         rows, top, win = iter(rows), -1, []
         while len(block := np.array(list(itertools.islice(rows, chunk)), dtype=np.intp)):
             vals = self.value(block)

@@ -85,11 +85,16 @@ class TestOracle:
     @pytest.mark.parametrize("r, n, k", [(2, 2, 5), (2, 9, 2), (3, 8, 3), (4, 8, 4), (3, 5, 7)])
     def test_scans_one_labelling_per_partition(self, r, n, k):
         # one restricted growth string per partition of the n vertices into
-        # at most k blocks, against k^(n-1) labellings with vertex 0 pinned
-        with mock.patch.object(oracle, "cut_values", wraps=oracle.cut_values) as scored:
-            brute_force_max_kcut(gen_complete(r, n), k)
-        scanned = sum(len(call.args[1]) for call in scored.call_args_list)
-        assert scanned == sum(stirling2(n, j) for j in range(1, k + 1))
+        # at most k blocks, against k^(n-1) labellings with vertex 0 pinned;
+        # each scoring step gets a (heads, tails, edges) block of part masks.
+        # For k > r every string cuts nothing, and the oracle scores none.
+        with mock.patch.object(oracle, "cut_counts", wraps=oracle.cut_counts) as scored:
+            cut = brute_force_max_kcut(gen_complete(r, n), k)
+        scanned = sum(call.args[1][..., 0].size for call in scored.call_args_list)
+        if k > r:
+            assert scanned == 0 and cut.assignment == (0,) * n
+        else:
+            assert scanned == sum(stirling2(n, j) for j in range(1, k + 1))
 
     def test_capacity_error(self):
         h = gen_complete(2, 30)

@@ -41,7 +41,7 @@ from hypercut import (
     sample_and_reduce,
     underlying_multigraph,
 )
-from hypercut import KCut, generators, hypergraph
+from hypercut import KCut, generators, hypergraph, oracle
 from hypercut.spectral import adjacency
 from hypercut.solver import _CutEvaluator
 from conftest import random_multigraph, random_symmetric
@@ -237,12 +237,24 @@ def sign_problems(draw):
 @given(sign_problems())
 def test_local_search_1flip_matches_reference(problem):
     """The stacked call returns the reference's best (x, value, flips) by
-    (-value, x); a single start returns the reference's own result."""
+    (-value, x); a single start returns the reference's own result.  Exact
+    for an integer matrix.  For a non-integer one the values agree up to
+    rounding, so the stacked call may pick any start whose value ties the
+    best up to rounding (x and -x always tie)."""
     a, stack = problem
     results = [ref_local_search_1flip(a, x) for x in stack]
-    assert local_search_1flip(a, stack) == min(results, key=lambda r: (-r.value, r.x))
-    assert local_search_1flip(a, stack[-1]) == results[-1]
-    assert local_search_1flip(a, tuple(stack[0].tolist())) == results[0]
+    best = min(results, key=lambda r: (-r.value, r.x))
+    found = local_search_1flip(a, stack)
+    single = [local_search_1flip(a, stack[-1]), local_search_1flip(a, tuple(stack[0].tolist()))]
+    if np.array_equal(a.a, np.round(a.a)):
+        assert found == best
+        assert single == [results[-1], results[0]]
+        return
+    close = lambda u: pytest.approx(u, rel=1e-9, abs=1e-9)  # noqa: E731
+    assert found.value == close(best.value)
+    assert (found.x, found.flips) in {(r.x, r.flips) for r in results if r.value == close(best.value)}
+    for got, ref in zip(single, (results[-1], results[0])):
+        assert (got.x, got.flips, got.value) == (ref.x, ref.flips, close(ref.value))
 
 
 def test_local_search_1flip_rejects_bad_stacks():
@@ -296,10 +308,36 @@ def test_oracle_matches_full_scan(h, data, cells):
 
 
 def test_oracle_scan_spans_many_chunks():
-    # 29,525 growth strings in chunks of 2^19 // (165 * 3) = 1,059
+    # 29,525 growth strings, at most 2^19 // 165 = 3,177 of them per step
     h = gen_complete(3, 11)
     cut = brute_force_max_kcut(h, 3)
     assert (cut.cut_value, cut.assignment) == ref_max_kcut(h, 3)
+
+
+def test_oracle_ties_across_chunked_mask_tables():
+    """At 64 cells per step and 84 edges, each step scores one (head, tail)
+    pair and each tail table is built one row at a time, so the first
+    maximizer must win over the ties found in later chunks: multiplicity 1 +
+    the edge's vertices among {0, 1} leaves 35 maximal partitions."""
+    g = gen_complete(3, 9)
+    h = Hypergraph(3, 9, g.edges, 1 + np.isin(g.edges, [0, 1]).sum(axis=1))
+    with mock.patch.object(hypergraph, "_CELLS", 64), \
+            mock.patch.object(oracle, "_masks", wraps=oracle._masks) as built:
+        cut = brute_force_max_kcut(h, 3)
+    assert (cut.cut_value, cut.assignment) == ref_max_kcut(h, 3)
+    assert {len(call.args[1]) for call in built.call_args_list} == {1}
+    assert built.call_count > 2 * 3 * 2  # several tail chunks for each of 3 tops
+
+
+@pytest.mark.parametrize("r, n, k", [
+    (2, 0, 2), (3, 1, 2), (2, 1, 3),  # n in {0, 1}: no edge
+    (5, 3, 4), (4, 2, 9),  # k > n, no edge
+    (2, 6, 3), (3, 7, 4), (3, 4, 6),  # k > r: nothing is cut
+])
+def test_oracle_small_and_edgeless_cases(r, n, k):
+    h = gen_complete(r, n) if n >= r else Hypergraph(r, n, [], [])
+    cut = brute_force_max_kcut(h, k)
+    assert (cut.cut_value, cut.assignment) == ref_max_kcut(h, k) == (0, (0,) * n)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
