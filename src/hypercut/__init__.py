@@ -13,14 +13,12 @@ from .experiments import (
     surplus_scaling_study,
 )
 from .generators import (
-    edwards_bound,
     gen_complete,
     gen_random_3graph,
     gen_random_linear_3graph,
     gen_random_uniform,
 )
 from .hypergraph import (
-    DegreeProfile,
     Hypergraph,
     KCut,
     cut_size,
@@ -33,7 +31,6 @@ from .hypergraph import (
     parse_hypergraph,
     random_cut_coefficient,
     stirling2,
-    surplus_of_cut,
     underlying_multigraph,
 )
 from .oracle import brute_force_max_kcut
@@ -41,12 +38,9 @@ from .rounding import (
     BipartitionResult,
     best_bipartition,
     gaussian_sign_round,
-    gram_vectors,
     local_search_1flip,
-    quadratic_surplus,
 )
 from .solver import (
-    ReducedInstance,
     SamplePlan,
     preprocess_heavy,
     reduce_cut_up,

@@ -59,6 +59,8 @@ def colored_sampling_experiment(
     of the colored pair multigraph, whose m is 3 * h.m."""
     if h.r != 3:
         raise InputError(f"colored sampling needs r=3, got r={h.r}")
+    if h.n == 0:
+        raise InputError("colored sampling needs a 3-graph with at least one vertex")
     if not (0.0 < p <= 1.0):
         raise InputError(f"probability must be in (0,1], got {p}")
     _check_reps(reps)

@@ -1,10 +1,9 @@
 """Seeded instance generators: binomial random r-graphs, greedy random linear
-3-graphs, and complete hypergraphs, plus the Edwards surplus bound."""
+3-graphs, and complete hypergraphs."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -139,13 +138,3 @@ def gen_complete(r: int, n: int) -> Hypergraph:
     total = _candidates(r, n)
     _check_ids(r, total)
     return _subsets(r, n, np.arange(total))
-
-
-def edwards_bound(m: int):
-    """(sqrt(8m+1) - 1) / 8; exact Fraction when 8m+1 is a perfect square."""
-    if m < 0:
-        raise InputError(f"edge count must be >= 0, got {m}")
-    s = math.isqrt(8 * m + 1)
-    if s * s == 8 * m + 1:
-        return Fraction(s - 1, 8)
-    return (math.sqrt(8 * m + 1) - 1.0) / 8.0

@@ -264,17 +264,6 @@ def cut_size(h: Hypergraph, assignment: Sequence[int], k: int) -> int:
     return int(cut_values(h, a, k))
 
 
-def surplus_of_cut(h: Hypergraph, cut: KCut) -> Fraction:
-    """Exact surplus of a cut; recomputes and cross-checks the stored value."""
-    fresh = KCut.from_assignment(h, cut.assignment, cut.k)
-    if fresh.cut_value != cut.cut_value:
-        raise InputError(
-            f"cut is inconsistent with the hypergraph: stored value "
-            f"{cut.cut_value}, recomputed {fresh.cut_value}"
-        )
-    return fresh.surplus
-
-
 def edge_subsets(h: Hypergraph, q: int) -> np.ndarray:
     """Every q-subset of every edge: shape (d, C(r, q), q), rows ascending."""
     return h.edges[:, list(itertools.combinations(range(h.r), q))]

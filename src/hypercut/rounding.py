@@ -32,15 +32,10 @@ class BipartitionResult:
     flips: int
 
 
-def quadratic_surplus(a: SymmetricMatrix, x) -> float:
-    xv = np.asarray(x, dtype=float)
-    return float(-0.25 * xv @ a.a @ xv)
-
-
 def gram_vectors(e: EigenDecomposition) -> np.ndarray:
     """(n, d) rows z_i realizing the certificate, <z_i, z_j> = X(i, j); d is
     the number of negative eigenvalues."""
-    return e.vectors[:, negative_eigenvalue_mask(e)].copy()
+    return e.vectors[:, negative_eigenvalue_mask(e)]
 
 
 def gaussian_sign_round(
@@ -80,8 +75,8 @@ def local_search_1flip(a: SymmetricMatrix, x) -> BipartitionResult:
     A x is one product for the stack, updated flip by flip, and each value
     is -x.(A x)/4.  For an integer A, as the solver passes, every sum is an
     exact float64 integer.  For a non-integer A a value may differ from
-    quadratic_surplus in the last bits, and so may the pick among starts
-    whose values tie in exact arithmetic (x and -x always do).
+    -x.A.x/4 in the last bits, and so may the pick among starts whose values
+    tie in exact arithmetic (x and -x always do).
     """
     xs = np.array(x, dtype=float, ndmin=2)
     if xs.shape[1:] != (a.n,) or not np.all(np.abs(xs) == 1):
@@ -112,16 +107,13 @@ def local_search_1flip(a: SymmetricMatrix, x) -> BipartitionResult:
     )
 
 
-def best_bipartition(
-    a: SymmetricMatrix, trials: int | None = None, seed=0
-) -> BipartitionResult:
-    """Best 2-cut found by 1-flip local search from the best Gaussian
-    rounding (``seed`` goes to gaussian_sign_round) and from each negative
-    eigenvector's sign pattern, zeros to +1."""
+def best_bipartition(a: SymmetricMatrix, seed=0) -> BipartitionResult:
+    """Best 2-cut found by 1-flip local search from the best of
+    100 * ceil(log2(n + 1)) Gaussian roundings (``seed`` goes to
+    gaussian_sign_round) and from each negative eigenvector's sign pattern,
+    zeros to +1."""
     if np.any(np.diag(a.a) != 0):
         raise InputError("matrix must have zero diagonal")
-    if trials is None:
-        trials = 100 * max(1, a.n.bit_length())  # 100 * ceil(log2(n + 1))
     z = gram_vectors(eigen_decompose(a))
-    rounded = gaussian_sign_round(z, a, trials, seed)
+    rounded = gaussian_sign_round(z, a, 100 * max(1, a.n.bit_length()), seed)
     return local_search_1flip(a, np.vstack([rounded.x, np.where(z.T < 0, -1.0, 1.0)]))

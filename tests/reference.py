@@ -2,21 +2,22 @@
 cut counter, the best-cut pick by tuple order and the one-draw-per-trial
 lift, the k-way probe search, the one-start 1-flip sweep, the
 conditional-expectation cut by enumeration, the line-by-line text parser
-and writer, the one-triple-at-a-time linear packer, and the dense adjacency
-by two ``np.add.at`` passes.  Edges are lists of
-(vertex tuple, multiplicity) pairs.  Three references keep numpy for speed:
-the full k^(n-1) oracle scan, scored by ``cut_values`` (pinned to
-``ref_cut`` by its own test), the one-draw-per-candidate generator, and the
-packer's candidate stream, which is shared with the code under test."""
+and writer, the one-triple-at-a-time linear packer, the dense adjacency by
+two ``np.add.at`` passes, the quadratic surplus -x.A.x/4 by one dense
+product, and the Edwards bound (sqrt(8m+1) - 1)/8, the r = 2 surplus
+baseline.  Edges are lists of (vertex tuple, multiplicity) pairs.  Three references
+keep numpy for speed: the full k^(n-1) oracle scan, scored by
+``cut_values`` (pinned to ``ref_cut`` by its own test), the
+one-draw-per-candidate generator, and the packer's candidate stream, which
+is shared with the code under test."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from hypercut import (
-    BipartitionResult, Hypergraph, InputError, cut_values, generators, quadratic_surplus,
-)
+from hypercut import BipartitionResult, Hypergraph, InputError, cut_values, generators
 
 
 def ref_merge(items, key=lambda verts: tuple(sorted(verts))):
@@ -51,6 +52,23 @@ def ref_local_search(edges, n, assign, k):
                     a, improved = moved, True
                     break
     return a
+
+
+def quadratic_surplus(a, x):
+    """-x.A.x/4 of a sign vector x: for a multigraph adjacency A, the cut
+    size of x minus half the edge weight."""
+    xv = np.asarray(x, dtype=float)
+    return float(-0.25 * xv @ a.a @ xv)
+
+
+def edwards_bound(m):
+    """(sqrt(8m+1) - 1) / 8; exact Fraction when 8m+1 is a perfect square."""
+    if m < 0:
+        raise InputError(f"edge count must be >= 0, got {m}")
+    s = math.isqrt(8 * m + 1)
+    if s * s == 8 * m + 1:
+        return Fraction(s - 1, 8)
+    return (math.sqrt(8 * m + 1) - 1.0) / 8.0
 
 
 def ref_local_search_1flip(a, x):

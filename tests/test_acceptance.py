@@ -19,7 +19,6 @@ from hypercut import (
     brute_force_max_kcut,
     colored_sampling_experiment,
     cut_size,
-    edwards_bound,
     eigen_decompose,
     energy,
     fit_loglog_slope,
@@ -34,6 +33,7 @@ from hypercut import (
     underlying_multigraph,
 )
 from conftest import random_multigraph, random_symmetric
+from reference import edwards_bound
 
 
 def _report(label: str, ok: bool, detail: str, start: float, cap: float) -> None:
@@ -54,7 +54,7 @@ def test_01_edwards_tightness_on_odd_complete_graphs():
         exact = Fraction(h.m, 2) + edwards_bound(h.m)
         ok &= Fraction(opt.cut_value) == exact
         a = SymmetricMatrix.from_pair_graph(h)
-        bp = best_bipartition(a, trials=200, seed=0)
+        bp = best_bipartition(a, seed=0)
         found = cut_size(h, [0 if s > 0 else 1 for s in bp.x], 2)
         ok &= found == opt.cut_value
         values.append((n, opt.cut_value))
@@ -136,7 +136,7 @@ def test_05_oracle_equivalence():
         h = random_multigraph(n, 1000 + seed)
         opt = brute_force_max_kcut(h, 2).cut_value
         a = SymmetricMatrix.from_pair_graph(h)
-        bp = best_bipartition(a, trials=200, seed=seed)
+        bp = best_bipartition(a, seed=seed)
         found = cut_size(h, [0 if s > 0 else 1 for s in bp.x], 2)
         hits2 += found == opt
         nonneg &= Fraction(found) - random_cut_coefficient(2, 2) * h.m >= 0

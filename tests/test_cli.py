@@ -569,6 +569,15 @@ class TestExperiment:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 6
 
+    def test_concentration_without_vertices_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "conc.csv"
+        code, _, err = run(
+            ["experiment", "--kind", "concentration", "--n", "0", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert "at least one vertex" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args",
         [["--sizes", "abc"], ["--sizes", "0"], ["--sizes", "-5"], ["--sizes", ","],

@@ -20,7 +20,6 @@ from hypercut import (
     parse_hypergraph,
     random_cut_coefficient,
     stirling2,
-    surplus_of_cut,
     underlying_multigraph,
 )
 from conftest import random_multigraph
@@ -107,23 +106,18 @@ class TestCutSize:
 class TestSurplus:
     def test_single_edge_cut(self):
         cut = KCut.from_assignment(TRIPLE, [0, 1, 2], 3)
-        assert surplus_of_cut(TRIPLE, cut) == Fraction(7, 9)
+        assert cut.surplus == Fraction(7, 9)
 
     def test_empty_hypergraph(self):
         empty = Hypergraph.from_edges(3, 5, [])
         cut = KCut.from_assignment(empty, [0, 1, 2, 0, 1], 3)
-        assert surplus_of_cut(empty, cut) == 0
+        assert cut.surplus == 0
 
     def test_k5_max_bipartition(self):
         k5 = gen_complete(2, 5)
         best = brute_force_max_kcut(k5, 2)
         assert best.cut_value == 6
-        assert surplus_of_cut(k5, best) == 1
-
-    def test_inconsistent_cut_rejected(self):
-        cut = KCut(k=3, assignment=(0, 1, 2), cut_value=5, surplus=Fraction(0))
-        with pytest.raises(InputError):
-            surplus_of_cut(TRIPLE, cut)
+        assert KCut.from_assignment(k5, best.assignment, 2).surplus == 1
 
 
 class TestUnderlyingMultigraph:
@@ -228,13 +222,13 @@ class TestSurplusAdditivity:
         # surplus of the whole is at least the sum over disjoint induced parts
         for seed in range(5):
             g = random_multigraph(9, seed=seed)
-            whole = surplus_of_cut(g, brute_force_max_kcut(g, 2))
+            whole = brute_force_max_kcut(g, 2).surplus
             parts = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
             total = 0
             for part in parts:
                 sub, _ = induced_sub(g, part)
                 if sub.m:
-                    total += surplus_of_cut(sub, brute_force_max_kcut(sub, 2))
+                    total += brute_force_max_kcut(sub, 2).surplus
             assert whole >= total
 
 

@@ -1,4 +1,6 @@
-"""Tests for the exhaustive oracle and the seeded instance generators."""
+"""Tests for the exhaustive oracle and the seeded instance generators, and
+for the reference Edwards bound that the complete graphs are checked
+against."""
 
 from fractions import Fraction
 
@@ -15,7 +17,6 @@ from hypercut import (
     brute_force_max_kcut,
     cut_size,
     degree_profile,
-    edwards_bound,
     gen_complete,
     gen_random_3graph,
     gen_random_linear_3graph,
@@ -24,6 +25,7 @@ from hypercut import (
     stirling2,
 )
 from hypercut import generators, oracle
+from reference import edwards_bound
 
 
 class TestOracle:

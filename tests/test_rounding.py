@@ -13,12 +13,12 @@ from hypercut import (
     energy,
     gaussian_sign_round,
     gen_complete,
-    gram_vectors,
     local_search_1flip,
     negative_eigenspace_psd,
-    quadratic_surplus,
 )
+from hypercut.rounding import gram_vectors
 from conftest import random_multigraph
+from reference import quadratic_surplus
 
 ONE_EDGE = SymmetricMatrix([[0.0, 1.0], [1.0, 0.0]])
 K3 = SymmetricMatrix.from_pair_graph(gen_complete(2, 3))
@@ -150,13 +150,13 @@ class TestBestBipartition:
         for seed in range(5):
             g = random_multigraph(10, seed=seed + 50)
             a = SymmetricMatrix.from_pair_graph(g)
-            res = best_bipartition(a, trials=40, seed=seed)
+            res = best_bipartition(a, seed=seed)
             assert res.value == pytest.approx(quadratic_surplus(a, res.x))
 
     def test_floor_half_edges(self):
         for seed in range(10):
             g = random_multigraph(11, seed=seed + 90, density=0.5)
-            res = best_bipartition(SymmetricMatrix.from_pair_graph(g), trials=20, seed=seed)
+            res = best_bipartition(SymmetricMatrix.from_pair_graph(g), seed=seed)
             assert res.value >= -1e-12  # cut >= m/2 via 1-flip optimality
 
     def test_deterministic(self):
@@ -178,15 +178,16 @@ class TestBestBipartition:
             padded = Hypergraph(2, 9, g.edges, g.mult)
             a = SymmetricMatrix.from_pair_graph(padded)
             for seed in range(20):
-                assert best_bipartition(a, trials=10, seed=seed).x[8] == 1
+                assert best_bipartition(a, seed=seed).x[8] == 1
 
     def test_start_pool_is_rounding_and_eigenvector_signs(self):
         for seed in range(8):
             a = SymmetricMatrix.from_pair_graph(random_multigraph(10, seed=seed + 200))
             z = gram_vectors(eigen_decompose(a))
-            rounded = gaussian_sign_round(z, a, 30, seed)
+            budget = 100 * math.ceil(math.log2(a.n + 1))
+            rounded = gaussian_sign_round(z, a, budget, seed)
             starts = np.vstack([rounded.x, np.where(z.T < 0, -1.0, 1.0)])
-            assert best_bipartition(a, trials=30, seed=seed) == local_search_1flip(a, starts)
+            assert best_bipartition(a, seed=seed) == local_search_1flip(a, starts)
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(InputError):
@@ -200,7 +201,7 @@ class TestBestBipartition:
                 hits += 1
                 continue
             opt = brute_force_max_kcut(g, 2).cut_value
-            res = best_bipartition(SymmetricMatrix.from_pair_graph(g), trials=200, seed=seed)
+            res = best_bipartition(SymmetricMatrix.from_pair_graph(g), seed=seed)
             cut = res.value + g.m / 2.0
             assert cut >= opt - 1 - 1e-9
             if abs(cut - opt) < 1e-9:
