@@ -65,9 +65,9 @@ def _merge(rows: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 key = key * base + col
             if (np.diff(key) < 0).any():  # sorting ordered rows would not move them
                 order = np.argsort(key)
-                rows, mult, key = rows[order], mult[order], key[order]
+                rows, mult, key = (np.take(x, order, axis=0) for x in (rows, mult, key))
             starts = np.flatnonzero(np.diff(key, prepend=-1) != 0)
-            rows, mult = rows[starts], np.add.reduceat(mult, starts)
+            rows, mult = np.take(rows, starts, axis=0), np.add.reduceat(mult, starts)
         else:
             rows, inverse = np.unique(rows, axis=0, return_inverse=True)
             summed = np.zeros(len(rows), dtype=np.int64)
@@ -164,11 +164,14 @@ class Hypergraph:
     @functools.cached_property
     def mult_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(edges, starts, mults): the edge rows in stable multiplicity order,
-        the first row of each run of equal multiplicity, and its multiplicity."""
-        order = np.argsort(self.mult, kind="stable")
-        mult = self.mult[order]
+        the first row of each run of equal multiplicity, and its multiplicity.
+        Nondecreasing multiplicities (all ones, say) keep ``edges`` itself."""
+        edges, mult = self.edges, self.mult
+        if (np.diff(mult) < 0).any():
+            order = np.argsort(mult, kind="stable")
+            edges, mult = np.take(edges, order, axis=0), np.take(mult, order)
         starts = np.flatnonzero(np.diff(mult, prepend=0))
-        return self.edges[order], starts, mult[starts]
+        return edges, starts, mult[starts]
 
 
 def _max_merged(rows: np.ndarray, mult: np.ndarray) -> int:

@@ -117,8 +117,12 @@ class _CutEvaluator:
         hit the other w = k - s - 1 missing parts but never v's part:
         sum_j (-1)^j C(w, j) (k-1-j)^f over k^f, by inclusion-exclusion.
         Scaled by k^(r-1), these gains are exact integers, so ties are exact.
-        v's edges are grouped by (s, f), and each gain multiplies the group's
-        total weight missing each part.
+        v's edges are grouped by their key s * r + f without a sort: a
+        key -> group table, allocated once, first holds one edge of each key,
+        and the keys are numbered in the order of those edges.  Each gain
+        multiplies the group's total weight missing each part, and the score
+        sums these exact integers over the groups, so their order does not
+        matter.
         """
         h, k = self.h, self.k
 
@@ -133,22 +137,30 @@ class _CutEvaluator:
                 c = -c * (w - j) // (j + 1)
             return k ** (h.r - 1 - f) * hits
 
-        counts = np.zeros((len(h.mult), k), dtype=np.int64)  # edge x placed part
+        counts = np.zeros((k, len(h.mult)), dtype=np.int64)  # placed part x edge
         free = np.full(len(h.mult), h.r)  # edge x unplaced vertices
         weight = h.mult.astype(np.float64)  # sums stay at most m <= 2^53: exact
+        # key -> group, below d < 2^31 (2^31 rows of int64 ids take 32 GiB)
+        group_of = np.empty((k + 1) * h.r, dtype=np.int32)
         assign = np.zeros(h.n, dtype=np.intp)
         for v in range(h.n):
             edges = self.inc[v]
-            free[edges] -= 1
-            c = counts[edges]
-            keys, group = np.unique((c > 0).sum(axis=1) * h.r + free[edges], return_inverse=True)
-            cells = (group[:, None] * k + np.arange(k)).ravel()
-            missed = np.bincount(cells, ((c == 0) * weight[edges, None]).ravel(), len(keys) * k)
+            f = np.take(free, edges) - 1
+            free[edges] = f
+            c = np.take(counts, edges, axis=1)
+            key = (c > 0).sum(axis=0) * h.r + f
+            order = np.arange(len(key))
+            group_of[key] = order  # each key -> one of its edges
+            keys = key[group_of[key] == order]
+            group_of[keys] = order[: len(keys)]
+            cells = group_of[key] + len(keys) * np.arange(k)[:, None]
+            absent = (c == 0) * np.take(weight, edges)  # part x edge: weight missing it
+            missed = np.bincount(cells.ravel(), absent.ravel(), len(keys) * k)
             gains = np.array([gain(*divmod(key, h.r)) for key in keys.tolist()], dtype=object)
             # score[b]: the sum over groups of gain x the group's weight missing b
-            score = (gains @ missed.reshape(-1, k).astype(np.int64).astype(object)).tolist()
+            score = (missed.reshape(k, -1).astype(np.int64).astype(object) @ gains).tolist()
             assign[v] = b = score.index(max(score))
-            counts[edges, b] += 1
+            counts[b, edges] += 1
         return assign
 
     def local_search(self, assign: Sequence[int]) -> np.ndarray:
@@ -158,48 +170,68 @@ class _CutEvaluator:
 
         Moving v to part b gains win[v, b] - loss[v]: loss[v] weighs the cut
         edges in which v is alone in its part, win[v, b] the edges that miss
-        only part b and in which v is not alone.  A move changes the part
-        counts of v's edges only, so only their terms are recounted.
+        only part b and in which v is not alone.  One (k+1, n) gain table
+        holds win in rows 0..k-1 and loss in row k.  Each (slot, edge)
+        caches the table cell its term sits in and whether the term is live
+        (``_slot_terms``).  A move changes the part counts of v's edges only:
+        their cached old terms are subtracted and their new terms added,
+        cell by cell, so a move costs O(r * deg v) beside the O(nk) search
+        for the next movable vertex.  The table is int64: an entry sums
+        weights of one vertex's edges, at most m <= 2^53, so it is exact.
+        Cells are int32: n(k+1) stays below 2^31 within solve_kcut's
+        capacity (n <= 10^4, k <= 1000).
         """
         a = np.array(assign, dtype=np.intp)
         h, k = self.h, self.k
         d = len(h.mult)
         if d == 0 or k > h.r:
             return a
-        parts = a[h.edges]
-        counts = np.bincount((parts + k * np.arange(d)[:, None]).ravel(), minlength=d * k)
-        counts = counts.reshape(d, k)  # edge x part
-        win = np.zeros((h.n, k), dtype=np.int64)
-        loss = np.zeros(h.n, dtype=np.int64)
-        self._tally(h.edges, parts, counts, h.mult, win, loss)
+        verts = np.ascontiguousarray(h.edges.T)  # slot x edge
+        parts = np.take(a, verts)
+        counts = np.bincount((parts * d + np.arange(d)).ravel(), minlength=k * d).reshape(k, d)
+        cells, live = (x.ravel() for x in _slot_terms(verts, parts, counts, h.n))
+        table = np.zeros((k + 1) * h.n, dtype=np.int64)
+        np.add.at(table, cells, live * np.tile(h.mult, h.r))
+        gains, span = table.reshape(k + 1, h.n), np.arange(h.r)[:, None] * d
         cursor = 0
         while True:
-            movable = np.flatnonzero((win > loss[:, None]).any(axis=1))
+            movable = np.flatnonzero(gains[:k].max(axis=0) > gains[k])
             if len(movable) == 0:
                 return a
             v = movable[np.searchsorted(movable, cursor) % len(movable)]
-            b = int(np.argmax(win[v] > loss[v]))
+            b = int(np.argmax(gains[:k, v] > gains[k, v]))
             edges = self.inc[v]
-            rows, w, c = h.edges[edges], h.mult[edges], counts[edges]
-            self._tally(rows, a[rows], c, -w, win, loss)
-            c[:, a[v]] -= 1
-            c[:, b] += 1
-            counts[edges] = c
+            slots = span + edges  # flat (slot, edge) positions of v's edges
+            c = np.take(counts, edges, axis=1)
+            c[a[v]] -= 1
+            c[b] += 1
+            counts[a[v], edges], counts[b, edges] = c[a[v]], c[b]
             a[v] = b
-            self._tally(rows, a[rows], c, w, win, loss)
+            rows = np.take(verts, slots)
+            new_cells, new_live = _slot_terms(rows, np.take(a, rows), c, h.n)
+            w = np.take(h.mult, edges)
+            # 1-D indices: ufunc.at has a fast path for them
+            np.subtract.at(table, np.take(cells, slots).ravel(), (np.take(live, slots) * w).ravel())
+            np.add.at(table, new_cells.ravel(), (new_live * w).ravel())
+            cells[slots], live[slots] = new_cells, new_live
             cursor = v + 1
 
-    @staticmethod
-    def _tally(rows, parts, c, w, win, loss) -> None:
-        """Add the move-gain terms of the edges ``rows`` (vertex parts
-        ``parts``, part counts ``c``, weights ``w``) to win and loss."""
-        alone = np.take_along_axis(c, parts, axis=1) == 1
-        missing = (c == 0).sum(axis=1)[:, None]
-        e, j = np.nonzero(alone & (missing == 0))
-        np.add.at(loss, rows[e, j], w[e])
-        e, j = np.nonzero(~alone & (missing == 1))
-        # the one missing part is the first zero count, argmin of the row
-        np.add.at(win.reshape(-1), rows[e, j] * win.shape[1] + c.argmin(axis=1)[e], w[e])
+
+def _slot_terms(rows: np.ndarray, parts: np.ndarray, c: np.ndarray, n: int):
+    """The gain-table cell (row * n + vertex) of each (slot, edge) of the
+    (r, e) vertex ids ``rows``, with parts ``parts`` and (k, e) part counts
+    ``c``, and whether its term is live.  A vertex alone in its part has a
+    loss term, row k, live when the edge is cut.  Any other has a win term
+    in the edge's missing part, live when exactly one part is missing; a
+    dead win term points at row k too."""
+    k, e = c.shape
+    alone = np.take(c, parts * e + np.arange(e)) == 1
+    missed = c == 0
+    missing = missed.sum(axis=0)
+    # the one missing part, where only one is: the sum of missing part ids
+    row = np.where(missing == 1, np.arange(k) @ missed, k)
+    live = np.where(alone, missing == 0, missing == 1)
+    return (np.where(alone, k, row) * n + rows).astype(np.int32), live
 
 
 def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:
@@ -215,9 +247,11 @@ def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:
     rest = np.flatnonzero(~sampled)
     relabel = np.cumsum(~sampled) - 1
     inside = sampled[h.edges]
-    one = inside.sum(axis=1) == 1
-    pairs = relabel[h.edges[one][~inside[one]]].reshape(-1, 2)
-    return ReducedInstance(rest=tuple(rest.tolist()), pairs=pairs, weights=h.mult[one])
+    # rows with one sampled vertex; a dot product sums the 3 columns faster than sum(axis=1)
+    one = inside.view(np.uint8) @ np.ones(3, dtype=np.uint8) == 1
+    free = np.extract(~np.compress(one, inside, axis=0), np.compress(one, h.edges, axis=0))
+    pairs = np.take(relabel, free).reshape(-1, 2)
+    return ReducedInstance(rest=tuple(rest.tolist()), pairs=pairs, weights=np.compress(one, h.mult))
 
 
 def _trivial_cut(h: Hypergraph, k: int, notes: tuple[str, ...] = ()) -> KCut:

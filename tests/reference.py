@@ -1,16 +1,18 @@
 """Pure-Python reference for the array code: a dict merge, a set-of-parts
 cut counter, the best-cut pick by tuple order and the one-draw-per-trial
 lift, the k-way probe search, the one-start 1-flip sweep, the
-conditional-expectation cut by enumeration, the line-by-line text parser
-and writer, the one-triple-at-a-time linear packer, the dense adjacency by
-two ``np.add.at`` passes, the quadratic surplus -x.A.x/4 by one dense
-product, and the Edwards bound (sqrt(8m+1) - 1)/8, the r = 2 surplus
-baseline.  Edges are lists of (vertex tuple, multiplicity) pairs.  Three references
+conditional-expectation cut by enumeration and by exact per-edge cut
+chances, the line-by-line text parser and writer, the
+one-triple-at-a-time linear packer, the dense adjacency by two
+``np.add.at`` passes, the quadratic surplus -x.A.x/4 by one dense product,
+and the Edwards bound (sqrt(8m+1) - 1)/8, the r = 2 surplus baseline.
+Edges are lists of (vertex tuple, multiplicity) pairs.  Three references
 keep numpy for speed: the full k^(n-1) oracle scan, scored by
 ``cut_values`` (pinned to ``ref_cut`` by its own test), the
 one-draw-per-candidate generator, and the packer's candidate stream, which
 is shared with the code under test."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -107,6 +109,33 @@ def ref_expectation_cut(h, k):
             sum(cut_values(h, np.array([[*assign, b, *t] for t in tails], dtype=np.intp), k).tolist())
             for b in range(k)
         ]
+        assign.append(totals.index(max(totals)))
+    return assign
+
+
+def ref_expectation_cut_exact(h, k):
+    """Each vertex in turn to the lowest part that maximises the exact
+    expected cut when the later vertices are drawn uniformly: the sum over
+    the edges of each one's cut probability, a Fraction by inclusion-exclusion
+    over the parts its placed vertices miss."""
+
+    @functools.cache
+    def cut_chance(met, free):
+        missed = k - met
+        return sum(
+            Fraction((-1) ** j * math.comb(missed, j) * (k - j) ** free, k**free)
+            for j in range(missed + 1)
+        )
+
+    assign = []
+    for v in range(h.n):
+        totals = []
+        for b in range(k):
+            placed = [*assign, b]
+            totals.append(sum(
+                mult * cut_chance(len({placed[u] for u in verts if u <= v}), sum(u > v for u in verts))
+                for verts, mult in as_items(h)
+            ))
         assign.append(totals.index(max(totals)))
     return assign
 

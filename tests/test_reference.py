@@ -2,10 +2,12 @@
 ``reference.py``, on random multi-hypergraphs (r in {2, 3, 4}, n <= 8,
 multiplicities 1-3), the chunked best-cut pick against a min over tuples,
 the lift against one draw per trial, the lockstep 1-flip search against one
-sweep loop per start, the conditional-expectation cut against enumeration
-of completions, the byte-scan parser against the line-by-line one, the
-packed-key canonicaliser on both sides of its int64 bound, the bincount
-adjacency and the pair-graph matrix against two ``np.add.at`` passes, the
+sweep loop per start, the k-way search and the conditional-expectation cut
+also on seeded graphs of 20-30 vertices and 100-300 edges, the latter
+against enumeration of completions and exact per-edge cut chances, the
+byte-scan parser against the line-by-line one, the packed-key canonicaliser
+on both sides of its int64 bound, the bincount adjacency and the pair-graph
+matrix against two ``np.add.at`` passes, the
 growth-string oracle against the full scan, the chunked generators against
 one draw per candidate, the linear packer against one triple at a time, and
 the one-template writer against one f-string per line."""
@@ -51,6 +53,7 @@ from reference import (
     ref_best,
     ref_cut,
     ref_expectation_cut,
+    ref_expectation_cut_exact,
     ref_format,
     ref_gen_random_uniform,
     ref_linear_packing,
@@ -203,9 +206,14 @@ def test_reduce_cut_up_matches_reference(h, data):
     assert lifted.assignment == ref_reduce_cut_up(h, cut, trials, seed)
 
 
-@settings(max_examples=80, deadline=None)
-@given(graphs(), st.data())
-def test_kway_local_search_matches_reference(h, data):
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(raw_items(), raw_items(mult=BIG_MULT)), st.data())
+def test_kway_local_search_matches_reference(raw, data):
+    """Multiplicities 1-3, and up to 2^53, where every gain-table entry must
+    stay exact."""
+    r, n, items = raw
+    assume(sum(m for _, m in items) <= 2**53)
+    h = Hypergraph.from_edges(r, n, items)
     items = as_items(h)
     for k in range(2, h.r + 2):
         start = data.draw(st.lists(st.integers(0, k - 1), min_size=h.n, max_size=h.n))
@@ -213,6 +221,47 @@ def test_kway_local_search_matches_reference(h, data):
         assert found == ref_local_search(items, h.n, start, k)
         if k > h.r:  # no edge can meet all k parts: nothing to improve
             assert found == start
+
+
+def test_kway_local_search_tells_heavy_weights_one_apart():
+    """Moving vertex 2 to part 1 wins 2^50 + 1 and loses 2^50: a gain table
+    that rounded them to one value would stop at the start."""
+    h = Hypergraph.from_edges(
+        2, 4, [((0, 2), 2**50 + 1), ((1, 2), 2**50), ((0, 3), 2**51)]
+    )
+    start = [0, 1, 0, 1]
+    found = _CutEvaluator(h, 2).local_search(start).tolist()
+    assert found == ref_local_search(as_items(h), h.n, start, 2) == [0, 0, 1, 1]
+
+
+def seeded_graph(seed, r):
+    """A graph on 20-30 vertices with 100-300 drawn edges of uniformity r,
+    multiplicities 1-3: larger than the hypothesis graphs, so that searches
+    make many moves and vertices see many (placed parts, free) keys."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 31))
+    rows = [rng.choice(n, size=r, replace=False) for _ in range(rng.integers(100, 301))]
+    return Hypergraph(r, n, rows, rng.integers(1, 4, size=len(rows)))
+
+
+@pytest.mark.parametrize("r, k", [(r, k) for r in (3, 4, 5) for k in range(2, r + 1)])
+def test_kway_local_search_matches_reference_on_larger_graphs(r, k):
+    """Half the vertices start in part 0, so that every case, k = 2 on
+    5-graphs included, makes 8-34 moves."""
+    h = seeded_graph(100 * r + k, r)
+    rng = np.random.default_rng(k)
+    start = np.where(rng.random(h.n) < 0.5, 0, rng.integers(0, k, size=h.n)).tolist()
+    found = _CutEvaluator(h, k).local_search(start).tolist()
+    assert found == ref_local_search(as_items(h), h.n, start, k)
+    assert cut_size(h, found, k) > cut_size(h, start, k)
+
+
+@pytest.mark.parametrize("r, k", [(r, k) for r in (3, 4, 5, 6) for k in range(2, r + 1)])
+def test_expectation_cut_matches_exact_reference(r, k):
+    """Past enumeration's reach (k^n <= 5^5): every vertex's part against the
+    exact expected cut, summed edge by edge."""
+    h = seeded_graph(1000 * r + k, r)
+    assert _CutEvaluator(h, k).expectation_cut().tolist() == ref_expectation_cut_exact(h, k)
 
 
 @st.composite
