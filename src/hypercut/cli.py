@@ -70,14 +70,14 @@ def _cmd_solve(args) -> int:
     if 2 <= k <= h.r:
         report["coefficient"] = str(random_cut_coefficient(h.r, k))
     report["wall_time_s"] = wall
+    if args.report:
+        _write_report(report, args.report)
     print(
         f"solve {args.file}: r={h.r} n={h.n} m={h.m} k={k} "
         f"cut={cut.cut_value} surplus={cut.surplus} ({float(cut.surplus):.4f})"
     )
     for note in cut.notes:
         print(f"note: {note}")
-    if args.report:
-        _write_report(report, args.report)
     return 0
 
 

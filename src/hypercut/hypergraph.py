@@ -161,18 +161,6 @@ class Hypergraph:
         ends = np.cumsum(np.bincount(self.edges.ravel(), minlength=self.n))
         return np.split(by_vertex, ends[:-1])
 
-    @functools.cached_property
-    def mult_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(edges, starts, mults): the edge rows in stable multiplicity order,
-        the first row of each run of equal multiplicity, and its multiplicity.
-        Nondecreasing multiplicities (all ones, say) keep ``edges`` itself."""
-        edges, mult = self.edges, self.mult
-        if (np.diff(mult) < 0).any():
-            order = np.argsort(mult, kind="stable")
-            edges, mult = np.take(edges, order, axis=0), np.take(mult, order)
-        starts = np.flatnonzero(np.diff(mult, prepend=0))
-        return edges, starts, mult[starts]
-
 
 def _max_merged(rows: np.ndarray, mult: np.ndarray) -> int:
     """Largest merged multiplicity of ``rows`` (shape (d, j, w)), where each
@@ -232,14 +220,10 @@ def part_masks(bits: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def cut_counts(h: Hypergraph, seen: np.ndarray, full: int) -> np.ndarray:
-    """Cut sizes from ``seen`` (..., d), one entry per edge of h.mult_groups:
-    an edge is cut when its entry is ``full``.  The cut edges of each
-    multiplicity group are counted, then weighted by its multiplicity; exact,
-    since a count is at most d < 2^32 (2^32 rows of int64 ids alone would take
-    32 GiB) and every total at most m <= 2^53."""
-    _, starts, mults = h.mult_groups
-    met = (seen == full).view(np.uint8)
-    return np.add.reduceat(met, starts, axis=-1, dtype=np.uint32) @ mults
+    """Cut sizes from ``seen`` (..., d), one entry per edge of h.edges: an
+    edge is cut when its entry is ``full``, and each cut edge counts h.mult
+    times.  One int64 sum, exact: every total is at most m <= 2^53 < 2^63."""
+    return np.einsum("...d,d->...", seen == full, h.mult, dtype=np.int64)
 
 
 def cut_values(h: Hypergraph, assign: np.ndarray, k: int) -> np.ndarray:
@@ -249,12 +233,11 @@ def cut_values(h: Hypergraph, assign: np.ndarray, k: int) -> np.ndarray:
     assign = np.asarray(assign)
     if k > h.r:
         return np.zeros(assign.shape[:-1], dtype=np.int64)
-    edges = h.mult_groups[0]
     if k > 62:  # too many parts for a bit set: count part changes instead
-        parts = np.sort(assign[..., edges], axis=-1)
+        parts = np.sort(assign[..., h.edges], axis=-1)
         return cut_counts(h, (parts[..., 1:] != parts[..., :-1]).sum(axis=-1), k - 1)
     bits = np.left_shift(1, assign).astype(np.uint8 if k <= 8 else np.int64)
-    return cut_counts(h, part_masks(bits, edges), (1 << k) - 1)
+    return cut_counts(h, part_masks(bits, h.edges), (1 << k) - 1)
 
 
 def cut_size(h: Hypergraph, assignment: Sequence[int], k: int) -> int:

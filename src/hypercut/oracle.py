@@ -21,10 +21,10 @@ def _growing(length: int, labels: int, top: int) -> np.ndarray:
 
 def _masks(h: Hypergraph, rows: np.ndarray, first: int) -> np.ndarray:
     """Part masks (len(rows), d) of rows of part ids on the vertices first,
-    first + 1, ...: per edge of h.mult_groups, the parts those vertices meet."""
+    first + 1, ...: per edge of h.edges, the parts those vertices meet."""
     bits = np.zeros((len(rows), h.n), dtype=np.uint8)
     bits[:, first:first + rows.shape[1]] = np.left_shift(1, rows)
-    return part_masks(bits, h.mult_groups[0])
+    return part_masks(bits, h.edges)
 
 
 def brute_force_max_kcut(h: Hypergraph, k: int) -> KCut:

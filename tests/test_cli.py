@@ -182,6 +182,18 @@ class TestSolve:
         assert report["input_digest"] == hashlib.sha256(data).hexdigest()
         assert report["cut_value"] == 3
 
+    def test_report_into_missing_directory_prints_nothing(self, tmp_path, capsys):
+        # the report is written before the summary: no success line, then exit 2
+        path = tmp_path / "a.hg"
+        path.write_text("3 4\n0 1 2\n1 2 3 2\n")
+        rep = tmp_path / "missing" / "r.json"
+        code, stdout, err = run(
+            ["solve", "--file", str(path), "--k", "3", "--report", str(rep)], capsys
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "input error" in err
+
     def test_non_utf8_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"3 3\n0 1 2\xff\n")

@@ -94,17 +94,8 @@ class TestCutSize:
         with pytest.raises(InputError):
             cut_size(TRIPLE, [0, 1, 3], 3)
 
-    def test_mult_groups_keep_edges_of_equal_multiplicity(self):
-        """All-ones multiplicities are already in order: no permuted copy."""
-        h = gen_random_uniform(3, 8, 0.5, 1)
-        edges, starts, mults = h.mult_groups
-        assert edges is h.edges and starts.tolist() == [0] and mults.tolist() == [1]
-
-    def test_mult_groups_order_mixed_multiplicities(self):
+    def test_mixed_multiplicities(self):
         h = Hypergraph.from_edges(3, 4, [((0, 1, 2), 3), (0, 1, 3), ((0, 2, 3), 2), (1, 2, 3)])
-        edges, starts, mults = h.mult_groups
-        assert edges.tolist() == [[0, 1, 3], [1, 2, 3], [0, 2, 3], [0, 1, 2]]
-        assert starts.tolist() == [0, 2, 3] and mults.tolist() == [1, 2, 3]
         assert cut_size(h, [0, 1, 2, 0], 3) == 3 + 1  # (0, 1, 2) and (1, 2, 3)
 
     @settings(max_examples=30, deadline=None)

@@ -82,8 +82,10 @@ def raw_items(draw, rs=(2, 3, 4), min_n=None, mult=st.integers(1, 3)):
     return r, n, items
 
 
-def graphs(rs=(2, 3, 4), min_n=None):
-    return raw_items(rs, min_n).map(lambda t: Hypergraph.from_edges(t[0], t[1], t[2]))
+def graphs(rs=(2, 3, 4), min_n=None, mult=st.integers(1, 3)):
+    """Hypergraphs of raw_items whose total edge count m is at most 2^53."""
+    raw = raw_items(rs, min_n, mult).filter(lambda t: sum(m for _, m in t[2]) <= 2**53)
+    return raw.map(lambda t: Hypergraph.from_edges(t[0], t[1], t[2]))
 
 
 def subsets(n):
@@ -163,8 +165,9 @@ def test_arrays_are_read_only(h):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graphs(), st.data())
+@given(st.one_of(graphs(), graphs(mult=BIG_MULT)), st.data())
 def test_cut_evaluators_match_reference(h, data):
+    """Multiplicities 1-3, and up to 2^53, where every count must stay exact."""
     items = as_items(h)
     for k in range(2, h.r + 2):
         batch = data.draw(st.lists(
@@ -207,13 +210,10 @@ def test_reduce_cut_up_matches_reference(h, data):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(raw_items(), raw_items(mult=BIG_MULT)), st.data())
-def test_kway_local_search_matches_reference(raw, data):
+@given(st.one_of(graphs(), graphs(mult=BIG_MULT)), st.data())
+def test_kway_local_search_matches_reference(h, data):
     """Multiplicities 1-3, and up to 2^53, where every gain-table entry must
     stay exact."""
-    r, n, items = raw
-    assume(sum(m for _, m in items) <= 2**53)
-    h = Hypergraph.from_edges(r, n, items)
     items = as_items(h)
     for k in range(2, h.r + 2):
         start = data.draw(st.lists(st.integers(0, k - 1), min_size=h.n, max_size=h.n))
@@ -346,10 +346,12 @@ def test_oracle_matches_reference_maximum(h, k):
 
 
 @settings(max_examples=80, deadline=None)
-@given(graphs(min_n=0), st.data(), st.sampled_from([hypergraph._CELLS, 64]))
+@given(st.one_of(graphs(min_n=0), graphs(min_n=0, mult=BIG_MULT)), st.data(),
+       st.sampled_from([hypergraph._CELLS, 64]))
 def test_oracle_matches_full_scan(h, data, cells):
     """Same value and assignment as the k^(n-1) scan, for k up to r + 2 (so k
-    > n and k > r occur), in one chunk or in chunks of a few rows."""
+    > n and k > r occur), in one chunk or in chunks of a few rows, with
+    multiplicities 1-3 and up to 2^53."""
     k = data.draw(st.integers(2, h.r + 2))
     with mock.patch.object(hypergraph, "_CELLS", cells):
         cut = brute_force_max_kcut(h, k)
@@ -553,6 +555,11 @@ def test_more_parts_than_a_bit_set_holds():
     assert cut_size(h, list(range(64)), 64) == 1
     assert cut_size(h, [v % 63 for v in range(64)], 63) == 1
     assert cut_size(h, [v % 62 for v in range(64)], 63) == 0
+    # one edge of multiplicity 2^53, scored in a (2, 64) batch
+    h = Hypergraph.from_edges(64, 64, [(tuple(range(64)), 2**53)])
+    batch = np.array([[v % 62 for v in range(64)], list(range(64))])
+    assert cut_values(h, batch, 64).tolist() == [0, 2**53]
+    assert cut_values(h, batch % 63, 63).tolist() == [0, 2**53]
 
 
 def parse_outcome(parse, text):
