@@ -46,7 +46,6 @@ from .solver import (
     reduce_cut_up,
     sample_and_reduce,
     solve_3cut,
-    solve_3cut_auto,
     solve_kcut,
 )
 from .spectral import (

@@ -1,11 +1,13 @@
 """3-cut and k-cut solvers built on vertex sampling and spectral 2-cut rounding.
 
-The core routine samples a vertex set X (probability 1/3 per vertex),
-collapses every hyperedge with exactly one sampled vertex onto its remaining
-pair, finds a large 2-cut (Y, Z) of the resulting multigraph, and reports the
-3-partition (X, Y, Z).  For an r-graph, cuts travel along the chain of
-underlying multigraphs down to uniformity 3 and are lifted back up one part
-at a time by random part-splitting.
+The 3-cut samples a vertex set X (probability 1/3 per vertex), collapses
+every hyperedge with exactly one sampled vertex onto its remaining pair,
+finds a large 2-cut (Y, Z) of the resulting multigraph, and reports the
+3-partition (X, Y, Z), of H and of its heavy-pair-stripped core.  For an
+r-graph, cuts travel along the chain of underlying multigraphs down to
+uniformity 3 and are lifted back up one part at a time by random
+part-splitting.  Stages hand on (n,) intp assignments; solve_kcut alone
+builds a KCut.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class SamplePlan:
 class ReducedInstance:
     """Result of collapsing hyperedges with one sampled vertex onto pairs."""
 
-    rest: tuple[int, ...]  # unsampled vertices, ascending; index = dense id
+    rest: np.ndarray  # (n',) intp unsampled vertices, ascending; index = dense id
     pairs: np.ndarray  # (d, 2) collapsed pairs on dense ids over rest, unmerged
     weights: np.ndarray  # (d,) multiplicity of each pair
 
@@ -251,15 +253,11 @@ def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:
     one = inside.view(np.uint8) @ np.ones(3, dtype=np.uint8) == 1
     free = np.extract(~np.compress(one, inside, axis=0), np.compress(one, h.edges, axis=0))
     pairs = np.take(relabel, free).reshape(-1, 2)
-    return ReducedInstance(rest=tuple(rest.tolist()), pairs=pairs, weights=np.compress(one, h.mult))
-
-
-def _trivial_cut(h: Hypergraph, k: int, notes: tuple[str, ...] = ()) -> KCut:
-    return KCut.from_assignment(h, [0] * h.n, k, notes=notes)
+    return ReducedInstance(rest=rest, pairs=pairs, weights=np.compress(one, h.mult))
 
 
 def _sampled_cut(h: Hypergraph, rng: np.random.Generator) -> np.ndarray:
-    """One trial of solve_3cut: X = the sampled vertices, and the rounded
+    """One trial of _direct_3cut: X = the sampled vertices, and the rounded
     2-cut (Y, Z) of the pair graph that X collapses the rest onto."""
     sampled = np.flatnonzero(rng.random(h.n) < SAMPLE_P)
     red = sample_and_reduce(h, sampled)
@@ -268,28 +266,28 @@ def _sampled_cut(h: Hypergraph, rng: np.random.Generator) -> np.ndarray:
     if len(red.weights):
         a = SymmetricMatrix(adjacency(len(red.rest), red.pairs, red.weights))
         bp = best_bipartition(a, seed=rng)  # one stream per trial: X, then its Gaussians
-        signs = np.asarray(bp.x)
-        rest = np.asarray(red.rest, dtype=np.intp)
-        assign[rest[signs < 0]] = 2
+        assign[red.rest[np.asarray(bp.x) < 0]] = 2
     return assign
 
 
-def solve_3cut(h: Hypergraph, plan: SamplePlan) -> KCut:
-    """Sampling + spectral rounding for the max 3-cut of a 3-graph: the best
-    of ``plan.trials`` sampled cuts, after k-way search."""
-    if h.r != 3:
-        raise InputError(f"solve_3cut needs r=3, got r={h.r}")
-    if h.n == 0 or h.m == 0:
-        return _trivial_cut(h, 3)
+def _direct_3cut(h: Hypergraph, plan: SamplePlan) -> np.ndarray:
+    """The best of ``plan.trials`` sampled cuts of a 3-graph with edges,
+    after k-way search."""
     ev = _CutEvaluator(h, 3)
     children = np.random.SeedSequence(plan.seed).spawn(plan.trials)
     winner = ev.best(_sampled_cut(h, np.random.default_rng(seq)) for seq in children)
-    return KCut.from_assignment(h, ev.local_search(winner), 3)
+    return ev.local_search(winner)
 
 
-def preprocess_heavy(h: Hypergraph) -> tuple[tuple[int, ...], Hypergraph, dict]:
+def _ceil_root5(x: int) -> int:
+    """The least D >= 1 with D^5 >= x, exactly: 3125 ** 0.2 is 5.000000000000001."""
+    d = max(1, round(x**0.2))  # the true root's floor or ceiling
+    return d + (d**5 < x)
+
+
+def preprocess_heavy(h: Hypergraph) -> tuple[np.ndarray, Hypergraph, dict]:
     """Strip a maximal matching of heavy pairs and all high-degree vertices:
-    the kept vertices w, ascending, the core they induce (vertex i is w[i]), a report.
+    the kept vertices w (ascending intp), the core they induce (vertex i is w[i]), a report.
 
     A pair is heavy when its weight in the underlying multigraph is at least
     d = ceil(m^(1/5)); a vertex is high-degree when its weighted pair degree
@@ -297,7 +295,7 @@ def preprocess_heavy(h: Hypergraph) -> tuple[tuple[int, ...], Hypergraph, dict]:
     """
     if h.r != 3:
         raise InputError(f"heavy-pair preprocessing needs r=3, got r={h.r}")
-    d, delta = (max(1, math.ceil(h.m ** e)) for e in (0.2, 0.6))
+    d, delta = _ceil_root5(h.m), _ceil_root5(h.m**3)
     pairs = underlying_multigraph(h, 2)
     deg = np.zeros(h.n, dtype=np.int64)
     np.add.at(deg, pairs.edges, pairs.mult[:, None])
@@ -307,7 +305,7 @@ def preprocess_heavy(h: Hypergraph) -> tuple[tuple[int, ...], Hypergraph, dict]:
             matched.update((u, v))
     keep = deg <= delta
     keep[list(matched)] = False
-    w = tuple(np.flatnonzero(keep).tolist())
+    w = np.flatnonzero(keep)
     sub, _ = induced_sub(h, w)
     report = {
         "d": d,
@@ -321,38 +319,40 @@ def preprocess_heavy(h: Hypergraph) -> tuple[tuple[int, ...], Hypergraph, dict]:
     return w, sub, report
 
 
-def solve_3cut_auto(h: Hypergraph, plan: SamplePlan) -> KCut:
-    """solve_3cut on H and on its heavy-pair-stripped core, best of the two;
-    the core's cut keeps the direct cut's parts on the stripped vertices."""
+def solve_3cut(h: Hypergraph, plan: SamplePlan) -> np.ndarray:
+    """Sampling + spectral rounding for the max 3-cut of a 3-graph: the larger
+    of the direct cut and the one that re-solves H's heavy-pair-stripped
+    core, with the direct parts elsewhere; k-way search cannot improve it."""
     if h.r != 3:
-        raise InputError(f"solve_3cut_auto needs r=3, got r={h.r}")
-    direct = solve_3cut(h, plan)
+        raise InputError(f"solve_3cut needs r=3, got r={h.r}")
+    if h.m == 0:
+        return np.zeros(h.n, dtype=np.intp)
+    direct = _direct_3cut(h, plan)
     w, core, _report = preprocess_heavy(h)
     if len(w) == h.n or core.m == 0:
         return direct
     seed = child_seeds([plan.seed, 1], 1)[0]
-    part = solve_3cut(core, SamplePlan(trials=plan.trials, seed=seed))
-    assign = np.array(direct.assignment, dtype=np.intp)
-    assign[list(w)] = part.assignment
+    assign = direct.copy()
+    assign[w] = _direct_3cut(core, SamplePlan(trials=plan.trials, seed=seed))
     ev = _CutEvaluator(h, 3)
-    return KCut.from_assignment(h, ev.best([direct.assignment, ev.local_search(assign)]), 3)
+    return ev.best([direct, ev.local_search(assign)])
 
 
-def reduce_cut_up(h: Hypergraph, cut: KCut, trials: int, seed: int) -> KCut:
-    """Lift an (r-1)-cut to an r-cut by carving a random new part
-    (each vertex moved with probability 1/r); best of ``trials`` draws."""
+def reduce_cut_up(h: Hypergraph, assign: Sequence[int], trials: int, seed: int) -> np.ndarray:
+    """Lift an (r-1)-cut assignment to an r-cut one by carving a random new
+    part (each vertex moved with probability 1/r); best of ``trials`` draws."""
     r = h.r
-    if cut.k != r - 1:
-        raise InputError(f"expected a {r - 1}-cut, got k={cut.k}")
-    if len(cut.assignment) != h.n:
-        raise InputError("cut does not match the hypergraph's vertex count")
+    base = np.asarray(assign, dtype=np.intp)
+    if base.shape != (h.n,):
+        raise InputError(f"assignment shape {base.shape} != vertex count ({h.n},)")
+    if h.n and (base.min() < 0 or base.max() >= r - 1):
+        raise InputError(f"part ids {base.min()}..{base.max()} leave the range [0, {r - 1})")
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     ev = _CutEvaluator(h, r)
-    base = np.asarray(cut.assignment, dtype=np.intp)
     rng = np.random.default_rng(seed)
     draws = (np.where(rng.random(h.n) < 1.0 / r, r - 1, base) for _ in range(trials))
-    return KCut.from_assignment(h, ev.best(draws), r)
+    return ev.best(draws)
 
 
 def _check_chain(h: Hypergraph) -> None:
@@ -393,10 +393,9 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
         raise CapacityError(
             f"{h.n} vertices exceed the solver's capacity {MAX_VERTICES}"
         )
-    if h.n == 0 or h.m == 0:
-        return _trivial_cut(h, k)
-    if k > h.r:  # no edge can meet k parts: the oracle's first maximiser
-        return _trivial_cut(h, k, notes=(_BASELINE_NOTE,))
+    if h.m == 0 or k > h.r:  # every cut is 0: the oracle's first maximiser
+        notes = (_BASELINE_NOTE,) if h.m else ()
+        return KCut.from_assignment(h, np.zeros(h.n, dtype=np.intp), k, notes=notes)
     if k in (h.r - 1, h.r):  # every such path builds the pair graph
         _check_chain(h)
     ev = _CutEvaluator(h, k)
@@ -410,13 +409,11 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
         chain: dict[int, Hypergraph] = {h.r: h}
         for j in range(h.r - 1, 2, -1):
             chain[j] = underlying_multigraph(chain[j + 1], j)
-        cur = solve_3cut_auto(chain[3], plan)
+        cur = solve_3cut(chain[3], plan)
         for j in range(4, k + 1):
-            as_jcut = KCut.from_assignment(chain[j], cur.assignment, j - 1)
             seed = child_seeds([plan.seed, 10 + j], 1)[0]
-            cur = reduce_cut_up(chain[j], as_jcut, trials=plan.trials, seed=seed)
-        # solve_3cut_auto(h) polishes its own result
-        candidates.append(cur.assignment if h.r == 3 else ev.local_search(cur.assignment))
+            cur = reduce_cut_up(chain[j], cur, trials=plan.trials, seed=seed)
+        candidates.append(cur if h.r == 3 else ev.local_search(cur))
     else:
         notes = (_BASELINE_NOTE,)
     cut = KCut.from_assignment(h, ev.best(candidates), k, notes=notes)

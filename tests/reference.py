@@ -196,10 +196,10 @@ def ref_best(edges, rows, k):
     return min(map(tuple, rows), key=lambda a: (-ref_cut(edges, a, k), a))
 
 
-def ref_reduce_cut_up(h, cut, trials, seed):
+def ref_reduce_cut_up(h, assign, trials, seed):
     """One draw of the carved part per trial, the best by ``ref_best``."""
     r = h.r
-    base = np.asarray(cut.assignment, dtype=np.intp)
+    base = np.asarray(assign, dtype=np.intp)
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(trials):

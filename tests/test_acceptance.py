@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from hypercut import (
+    KCut,
     SamplePlan,
     SymmetricMatrix,
     best_bipartition,
@@ -28,7 +29,7 @@ from hypercut import (
     random_cut_coefficient,
     sample_and_reduce,
     sdp_energy_bound,
-    solve_3cut_auto,
+    solve_3cut,
     surplus_scaling_study,
     underlying_multigraph,
 )
@@ -145,7 +146,7 @@ def test_05_oracle_equivalence():
         n = 5 + seed % 4  # n ranges over [5, 8]
         h = gen_random_3graph(n, 0.5, 2000 + seed)
         opt = brute_force_max_kcut(h, 3).cut_value
-        cut = solve_3cut_auto(h, SamplePlan(trials=30, seed=seed))
+        cut = KCut.from_assignment(h, solve_3cut(h, SamplePlan(trials=30, seed=seed)), 3)
         hits3 += cut.cut_value == opt
         nonneg &= cut.surplus >= 0
     rate = (hits2 + hits3) / 150.0

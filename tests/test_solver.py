@@ -26,12 +26,11 @@ from hypercut import (
     reduce_cut_up,
     sample_and_reduce,
     solve_3cut,
-    solve_3cut_auto,
     solve_kcut,
     underlying_multigraph,
 )
 from hypercut import solver
-from hypercut.solver import _CutEvaluator, child_seeds
+from hypercut.solver import _CutEvaluator, _direct_3cut, child_seeds
 
 TRIPLE = Hypergraph.from_edges(3, 3, [(0, 1, 2)])
 
@@ -39,7 +38,7 @@ TRIPLE = Hypergraph.from_edges(3, 3, [(0, 1, 2)])
 class TestSampleAndReduce:
     def test_single_edge_one_sampled(self):
         red = sample_and_reduce(TRIPLE, {2})
-        assert red.rest == (0, 1)
+        assert red.rest.tolist() == [0, 1]
         assert red.pair_graph.edges.tolist() == [[0, 1]]
         assert red.pair_graph.mult.tolist() == [1]
 
@@ -78,19 +77,23 @@ class TestSampleAndReduce:
                         assign[v] = part
                         signs[i] = part - 1
                     lhs = cut_size(h, assign, 3)
-                    rhs = cut_size(red.pair_graph, signs, 2) if rest else 0
+                    rhs = cut_size(red.pair_graph, signs, 2) if len(rest) else 0
                     assert lhs == rhs
+
+
+def _solved(h, plan):
+    return KCut.from_assignment(h, solve_3cut(h, plan), 3)
 
 
 class TestSolve3Cut:
     def test_single_edge(self):
-        cut = solve_3cut(TRIPLE, SamplePlan(trials=10, seed=0))
+        cut = _solved(TRIPLE, SamplePlan(trials=10, seed=0))
         assert cut.cut_value == 1
         assert cut.surplus == Fraction(7, 9)
 
     def test_complete_3graph_on_4(self):
         h = gen_complete(3, 4)
-        cut = solve_3cut(h, SamplePlan(trials=10, seed=1))
+        cut = _solved(h, SamplePlan(trials=10, seed=1))
         # [DERIVED] any 3-partition of 4 vertices has shape 2+1+1, so only
         # the two triples holding both singletons meet all three parts.
         assert cut.cut_value == brute_force_max_kcut(h, 3).cut_value == 2
@@ -99,12 +102,17 @@ class TestSolve3Cut:
         # five petals through vertex 0; center alone, petals split
         edges = [(0, 2 * i + 1, 2 * i + 2) for i in range(5)]
         h = Hypergraph.from_edges(3, 11, edges)
-        cut = solve_3cut(h, SamplePlan(trials=30, seed=2))
+        cut = _solved(h, SamplePlan(trials=30, seed=2))
         assert cut.cut_value == 5
+
+    def test_returns_an_intp_assignment(self):
+        h = gen_random_3graph(9, 0.4, 17)
+        assign = solve_3cut(h, SamplePlan(trials=4, seed=1))
+        assert assign.dtype == np.intp and assign.shape == (h.n,)
 
     def test_empty_hypergraph(self):
         h = Hypergraph.from_edges(3, 4, [])
-        assert solve_3cut(h, SamplePlan(trials=3, seed=0)).cut_value == 0
+        assert _solved(h, SamplePlan(trials=3, seed=0)).cut_value == 0
 
     def test_needs_r3(self):
         with pytest.raises(InputError):
@@ -114,14 +122,14 @@ class TestSolve3Cut:
         h = gen_random_3graph(10, 0.3, 5)
         a = solve_3cut(h, SamplePlan(trials=8, seed=11))
         b = solve_3cut(h, SamplePlan(trials=8, seed=11))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_surplus_nonnegative_on_random_suite(self):
         for seed in range(10):
             h = gen_random_3graph(9, 0.35, seed + 40)
             if h.m == 0:
                 continue
-            cut = solve_3cut(h, SamplePlan(trials=8, seed=seed))
+            cut = _solved(h, SamplePlan(trials=8, seed=seed))
             assert cut.surplus >= 0
 
 
@@ -143,14 +151,14 @@ class TestPreprocessHeavy:
     def test_heavy_pair_removed(self):
         h = Hypergraph.from_edges(3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
         w, _, report = preprocess_heavy(h)  # m = 3: d = 2, delta = 2
-        assert w == (2, 3, 4)
+        assert w.tolist() == [2, 3, 4]
         assert report["matching_vertices"] == 2
 
     def test_low_degree_keeps_everyone(self):
         h = Hypergraph.from_edges(3, 9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
         w, _, report = preprocess_heavy(h)  # pair degree 2 <= delta = 2
         assert report["high_degree_vertices"] == report["matching_vertices"] == 0
-        assert w == tuple(range(9))
+        assert w.tolist() == list(range(9))
 
     @pytest.mark.parametrize("mult, stripped", [(3, True), (2, False)])
     def test_pair_weight_at_d_is_heavy(self, mult, stripped):
@@ -158,7 +166,7 @@ class TestPreprocessHeavy:
         h = _padded([(0, 1, 2 + i) for i in range(mult)], 33)
         w, _, report = preprocess_heavy(h)
         assert (report["d"], report["delta"], report["high_degree_vertices"]) == (3, 9, 0)
-        assert w == tuple(range(2 if stripped else 0, h.n))
+        assert w.tolist() == list(range(2 if stripped else 0, h.n))
 
     @pytest.mark.parametrize("m, stripped", [(7, False), (5, True)])
     def test_pair_degree_past_delta_is_high(self, m, stripped):
@@ -168,7 +176,7 @@ class TestPreprocessHeavy:
         w, _, report = preprocess_heavy(h)
         assert report["delta"] == (3 if stripped else 4)
         assert report["matching_vertices"] == 0
-        assert w == tuple(range(1 if stripped else 0, h.n))
+        assert w.tolist() == list(range(1 if stripped else 0, h.n))
 
     def test_default_thresholds(self):
         h = gen_complete(3, 6)  # m = 20
@@ -176,16 +184,28 @@ class TestPreprocessHeavy:
         assert report["d"] == 2  # ceil(20^0.2)
         assert report["delta"] == 7  # ceil(20^0.6)
 
+    @pytest.mark.parametrize("mult, stripped", [(5, True), (4, False)])
+    def test_pair_weight_at_d_is_heavy_at_a_fifth_power(self, mult, stripped):
+        # m = 3125 = 5^5: d = 5 exactly, though 3125 ** 0.2 rounds up past 5,
+        # and delta = 125 = 5^3 keeps every vertex
+        h = _padded([(0, 1, 2 + i) for i in range(mult)], 3125)
+        w, _, report = preprocess_heavy(h)
+        assert (report["d"], report["delta"], report["high_degree_vertices"]) == (5, 125, 0)
+        assert w.tolist() == list(range(2 if stripped else 0, h.n))
+
 
 class TestSolve3CutAuto:
+    """solve_3cut's second solve, on the heavy-pair-stripped core, against
+    the direct search alone."""
+
     def test_linear_reduces_to_direct(self):
         h, _ = gen_random_linear_3graph(12, 12, seed=9)
         plan = SamplePlan(trials=6, seed=4)
-        assert solve_3cut_auto(h, plan) == solve_3cut(h, plan)
+        assert np.array_equal(solve_3cut(h, plan), _direct_3cut(h, plan))
 
     def test_complete_7_matches_oracle_floor(self):
         h = gen_complete(3, 7)
-        cut = solve_3cut_auto(h, SamplePlan(trials=10, seed=3))
+        cut = _solved(h, SamplePlan(trials=10, seed=3))
         opt = brute_force_max_kcut(h, 3).cut_value
         assert cut.cut_value <= opt
         assert cut.cut_value >= Fraction(2, 9) * h.m
@@ -193,22 +213,19 @@ class TestSolve3CutAuto:
 
     def test_empty(self):
         h = Hypergraph.from_edges(3, 3, [])
-        assert solve_3cut_auto(h, SamplePlan(trials=2, seed=0)).cut_value == 0
+        assert _solved(h, SamplePlan(trials=2, seed=0)).cut_value == 0
 
     def test_monotone_over_direct(self):
         for seed in range(5):
             h = gen_random_3graph(10, 0.4, seed + 100)
             plan = SamplePlan(trials=6, seed=seed)
-            assert (
-                solve_3cut_auto(h, plan).cut_value
-                >= solve_3cut(h, plan).cut_value
-            )
+            assert cut_size(h, solve_3cut(h, plan), 3) >= cut_size(h, _direct_3cut(h, plan), 3)
 
     def test_induces_the_core_once(self):
         # a heavy pair {0, 1} to strip, so the core is solved as well
         h = _padded([(0, 1, v) for v in range(2, 6)], 12)
         with mock.patch.object(solver, "induced_sub", wraps=induced_sub) as induced:
-            solve_3cut_auto(h, SamplePlan(trials=2, seed=0))
+            solve_3cut(h, SamplePlan(trials=2, seed=0))
         assert induced.call_count == 1
 
     def test_stripped_vertices_keep_the_direct_parts(self):
@@ -220,34 +237,37 @@ class TestSolve3CutAuto:
             h = Hypergraph.from_edges(3, 30, rows)
             plan = SamplePlan(trials=6, seed=seed)
             w, core, _ = preprocess_heavy(h)
-            assert (core, w) == induced_sub(h, w)  # the core and its vertex ids
+            assert (core, tuple(w.tolist())) == induced_sub(h, w)  # the core and its vertex ids
             assert len(w) < h.n and core.m > 0
-            direct = solve_3cut(h, plan)
-            part = solve_3cut(core, SamplePlan(trials=6, seed=child_seeds([seed, 1], 1)[0]))
-            lifted = np.array(direct.assignment)
-            lifted[list(w)] = part.assignment
+            direct = _direct_3cut(h, plan)
+            part = _direct_3cut(core, SamplePlan(trials=6, seed=child_seeds([seed, 1], 1)[0]))
+            lifted = direct.copy()
+            lifted[w] = part
             ev = _CutEvaluator(h, 3)
-            best = ev.best([direct.assignment, ev.local_search(lifted)])
-            assert solve_3cut_auto(h, plan).assignment == tuple(best)
+            best = ev.best([direct, ev.local_search(lifted)])
+            assert np.array_equal(solve_3cut(h, plan), best)
 
 
 class TestReduceCutUp:
     def test_single_edge_lift(self):
-        cut2 = KCut.from_assignment(TRIPLE, [0, 0, 1], 2)
-        lifted = reduce_cut_up(TRIPLE, cut2, trials=50, seed=0)
-        assert lifted.k == 3
-        assert lifted.cut_value == 1
+        lifted = reduce_cut_up(TRIPLE, [0, 0, 1], trials=50, seed=0)
+        assert lifted.dtype == np.intp and lifted.shape == (3,)
+        assert KCut.from_assignment(TRIPLE, lifted, 3).cut_value == 1
 
-    def test_k_mismatch(self):
-        cut3 = KCut.from_assignment(TRIPLE, [0, 1, 2], 3)
+    @pytest.mark.parametrize(
+        "assign, trials",
+        [([0, 1], 1), ([0, 1, 0, 1], 1), ([0, 1, 2], 1), ([0, -1, 1], 1), ([0, 0, 1], 0)],
+        ids=["short", "long", "new-part-id", "negative-part-id", "no-trials"],
+    )
+    def test_refuses_bad_input(self, assign, trials):
         with pytest.raises(InputError):
-            reduce_cut_up(TRIPLE, cut3, trials=1, seed=0)
+            reduce_cut_up(TRIPLE, assign, trials=trials, seed=0)
 
     def test_complete_4graph_reaches_oracle(self):
         h = gen_complete(4, 5)
         best3 = brute_force_max_kcut(h, 3)
-        lifted = reduce_cut_up(h, best3, trials=200, seed=1)
-        assert lifted.cut_value == brute_force_max_kcut(h, 4).cut_value
+        lifted = reduce_cut_up(h, best3.assignment, trials=200, seed=1)
+        assert cut_size(h, lifted, 4) == brute_force_max_kcut(h, 4).cut_value
 
     def test_expected_retention_statistics(self):
         # each cut edge stays cut with probability 2(1-1/r)^(r-1)/r exactly
@@ -256,7 +276,8 @@ class TestReduceCutUp:
         r = 4
         c_r = 2.0 * (1.0 - 1.0 / r) ** (r - 1) / r
         vals = [
-            reduce_cut_up(h, base, trials=1, seed=s).cut_value for s in range(200)
+            cut_size(h, reduce_cut_up(h, base.assignment, trials=1, seed=s), 4)
+            for s in range(200)
         ]
         mean = np.mean(vals)
         stderr = np.std(vals, ddof=1) / np.sqrt(len(vals))
@@ -277,10 +298,10 @@ class TestKWayLocalSearch:
 
 
 class TestSolveKCut:
-    def test_r3_k3_is_auto(self):
+    def test_r3_k3_is_solve_3cut(self):
         h = gen_random_3graph(9, 0.4, 17)
         plan = SamplePlan(trials=6, seed=2)
-        assert solve_kcut(h, 3, plan) == solve_3cut_auto(h, plan)
+        assert solve_kcut(h, 3, plan) == _solved(h, plan)
 
     def test_r3_k2_bipartition_route(self):
         h = gen_random_3graph(9, 0.4, 23)
