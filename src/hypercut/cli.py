@@ -4,6 +4,7 @@ with one seed governing all randomness and machine-readable reports."""
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -128,6 +129,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypercut",

@@ -55,19 +55,32 @@ def _merge(rows: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The canonicaliser: rows in lexicographic order, equal rows merged into
     one with their multiplicities summed.  Both results are read-only.
 
-    Rows of w ids below b, with b^w < 2^63, are compared by one int64 key
-    each, their ids as its base-b digits; wider rows by ``np.unique``."""
+    Rows of w ids below b, with b^w < 2^63, are read as one int64 key each,
+    their ids as its base-b digits, so that key order is row order.  Where
+    the key space b^w holds at most 4 keys per row, the rows are counted:
+    one int64 ``np.add.at`` sums each key's multiplicity over the key space,
+    and its nonzero keys, in order, decode into the merged rows.  Otherwise
+    rows out of order are sorted by key and runs of equal keys merged by
+    ``np.add.reduceat``.  Wider rows go through ``np.unique``."""
     if len(rows):
-        base = int(rows.max()) + 1
-        if base ** rows.shape[1] < 2**63:
+        base, width = int(rows.max()) + 1, rows.shape[1]
+        if base**width < 2**63:
             key = rows[:, 0]
             for col in rows.T[1:]:
                 key = key * base + col
-            if (np.diff(key) < 0).any():  # sorting ordered rows would not move them
-                order = np.argsort(key)
-                rows, mult, key = (np.take(x, order, axis=0) for x in (rows, mult, key))
-            starts = np.flatnonzero(np.diff(key, prepend=-1) != 0)
-            rows, mult = np.take(rows, starts, axis=0), np.add.reduceat(mult, starts)
+            if base**width <= 4 * len(rows):
+                totals = np.zeros(base**width, dtype=np.int64)
+                np.add.at(totals, key, mult)
+                key = np.flatnonzero(totals)  # every multiplicity is >= 1
+                mult, rows = totals[key], np.empty((len(key), width), dtype=np.intp)
+                for j in range(width - 1, -1, -1):
+                    key, rows[:, j] = np.divmod(key, base)
+            else:
+                if (np.diff(key) < 0).any():  # sorting ordered rows would not move them
+                    order = np.argsort(key)
+                    rows, mult, key = (np.take(x, order, axis=0) for x in (rows, mult, key))
+                starts = np.flatnonzero(np.diff(key, prepend=-1) != 0)
+                rows, mult = np.take(rows, starts, axis=0), np.add.reduceat(mult, starts)
         else:
             rows, inverse = np.unique(rows, axis=0, return_inverse=True)
             summed = np.zeros(len(rows), dtype=np.int64)
@@ -156,8 +169,12 @@ class Hypergraph:
 
     @functools.cached_property
     def incidence(self) -> list[np.ndarray]:
-        """incidence[v]: ascending indices of the edges that contain v."""
-        by_vertex = np.argsort(self.edges.ravel(), kind="stable") // self.r
+        """incidence[v]: ascending indices of the edges that contain v.
+
+        One stable argsort of the ids, cast to the smallest unsigned type
+        that holds n - 1: numpy radix-sorts ids of at most 16 bits."""
+        ids = self.edges.ravel().astype(np.min_scalar_type(self.n - 1))
+        by_vertex = np.argsort(ids, kind="stable") // self.r
         ends = np.cumsum(np.bincount(self.edges.ravel(), minlength=self.n))
         return np.split(by_vertex, ends[:-1])
 
@@ -251,8 +268,10 @@ def cut_size(h: Hypergraph, assignment: Sequence[int], k: int) -> int:
 
 
 def edge_subsets(h: Hypergraph, q: int) -> np.ndarray:
-    """Every q-subset of every edge: shape (d, C(r, q), q), rows ascending."""
-    return h.edges[:, list(itertools.combinations(range(h.r), q))]
+    """Every q-subset of every edge: shape (d, C(r, q), q), rows ascending,
+    C-contiguous (indexing with the subsets would put axis 0 last in memory,
+    and every reshape of it would copy)."""
+    return np.take(h.edges, list(itertools.combinations(range(h.r), q)), axis=1)
 
 
 def underlying_multigraph(h: Hypergraph, q: int) -> Hypergraph:

@@ -119,17 +119,21 @@ class _CutEvaluator:
         hit the other w = k - s - 1 missing parts but never v's part:
         sum_j (-1)^j C(w, j) (k-1-j)^f over k^f, by inclusion-exclusion.
         Scaled by k^(r-1), these gains are exact integers, so ties are exact.
-        v's edges are grouped by their key s * r + f without a sort: a
-        key -> group table, allocated once, first holds one edge of each key,
-        and the keys are numbered in the order of those edges.  Each gain
-        multiplies the group's total weight missing each part, and the score
-        sums these exact integers over the groups, so their order does not
-        matter.
+        The gain of an edge depends on its key s * r + f alone.  A gain is at
+        most k^(r-1), so every score, a sum of gain x multiplicity over the
+        edges that miss the part, fits int64 when k^(r-1) * m < 2^63.  Then
+        r <= 63 and (k+1) * r <= 4,032 (k <= r): one int64 table holds the
+        gain of every key, and each edge looks its gain up, with no grouping.
+        Otherwise gains are Python ints, computed only at the keys that occur
+        (there may be a million keys, and one gain takes up to k big-int
+        powers), and v's edges are grouped by key, so that each of v's
+        distinct keys costs k big-int products.
         """
         h, k = self.h, self.k
 
         @functools.cache
-        def gain(s: int, f: int) -> int:
+        def gain(key: int) -> int:
+            s, f = divmod(key, h.r)
             w = k - s - 1  # the other missing parts
             if w < 0 or w > f:  # nothing missing, or out of reach
                 return 0
@@ -139,30 +143,29 @@ class _CutEvaluator:
                 c = -c * (w - j) // (j + 1)
             return k ** (h.r - 1 - f) * hits
 
-        counts = np.zeros((k, len(h.mult)), dtype=np.int64)  # placed part x edge
+        exact = k ** (h.r - 1) * h.m < 2**63
+        table = np.array([gain(key) for key in range((k + 1) * h.r)] if exact else [], np.int64)
+        met = np.zeros((k, len(h.mult)), dtype=bool)  # part x edge: a placed vertex in it
         free = np.full(len(h.mult), h.r)  # edge x unplaced vertices
-        weight = h.mult.astype(np.float64)  # sums stay at most m <= 2^53: exact
-        # key -> group, below d < 2^31 (2^31 rows of int64 ids take 32 GiB)
-        group_of = np.empty((k + 1) * h.r, dtype=np.int32)
         assign = np.zeros(h.n, dtype=np.intp)
         for v in range(h.n):
             edges = self.inc[v]
             f = np.take(free, edges) - 1
             free[edges] = f
-            c = np.take(counts, edges, axis=1)
-            key = (c > 0).sum(axis=0) * h.r + f
-            order = np.arange(len(key))
-            group_of[key] = order  # each key -> one of its edges
-            keys = key[group_of[key] == order]
-            group_of[keys] = order[: len(keys)]
-            cells = group_of[key] + len(keys) * np.arange(k)[:, None]
-            absent = (c == 0) * np.take(weight, edges)  # part x edge: weight missing it
-            missed = np.bincount(cells.ravel(), absent.ravel(), len(keys) * k)
-            gains = np.array([gain(*divmod(key, h.r)) for key in keys.tolist()], dtype=object)
-            # score[b]: the sum over groups of gain x the group's weight missing b
-            score = (missed.reshape(k, -1).astype(np.int64).astype(object) @ gains).tolist()
-            assign[v] = b = score.index(max(score))
-            counts[b, edges] += 1
+            hit = np.take(met, edges, axis=1)
+            key, weight = hit.sum(axis=0) * h.r + f, np.take(h.mult, edges)
+            if exact:  # score[b]: gain x multiplicity summed over v's edges that miss b
+                score = ~hit @ (np.take(table, key) * weight)
+            else:  # the same sum, over v's distinct keys of each key's weight missing b
+                keys, group = np.unique(key, return_inverse=True)
+                cells = group + len(keys) * np.arange(k)[:, None]
+                # float64 sums of at most m <= 2^53: exact
+                missed = np.bincount(cells.ravel(), (~hit * weight).ravel(), k * len(keys))
+                missed = missed.reshape(k, -1)
+                gains = np.array([gain(x) for x in keys.tolist()], dtype=object)
+                score = missed.astype(np.int64).astype(object) @ gains
+            assign[v] = b = int(np.argmax(score))  # the first maximum
+            met[b, edges] = True
         return assign
 
     def local_search(self, assign: Sequence[int]) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypercut import degree_profile, load_hypergraph
+from hypercut import cli, degree_profile, load_hypergraph
 from hypercut.cli import main
 
 
@@ -566,6 +566,44 @@ def test_negative_seed_exit_2(tmp_path, capsys, monkeypatch, args):
     code, _, err = run([*args, "--seed", "-1"], capsys)
     assert code == 2
     assert "--seed" in err
+
+
+def test_one_process_runs_calls_as_it_runs_each_alone(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process: solve, gen, a bad argument and
+    solve again, in one process, give the codes, output and files that each
+    gives when it is the process's first call."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.txt").write_text("3 5\n0 1 2\n0 1 3 2\n2 3 4\n")
+    calls = [
+        ["solve", "--file", "h.txt", "--k", "3", "--trials", "2", "--report", "a.json"],
+        ["gen", "--kind", "random3", "--n", "9", "--p", "0.3", "--seed", "1", "--out", "g.txt"],
+        ["solve", "--file", "h.txt", "--k", "three"],
+        ["solve", "--file", "g.txt", "--k", "2", "--seed", "4", "--report", "b.json"],
+    ]
+
+    def call(args):
+        """Exit code, output, and the file the call writes, if any."""
+        written = next((args[i + 1] for i, a in enumerate(args) if a in ("--report", "--out")), None)
+        if written and os.path.exists(written):
+            os.remove(written)
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse exits on a bad argument
+            code = exc.code
+        out = capsys.readouterr()
+        text = open(written).read() if written else None
+        if written and written.endswith(".json"):
+            text = {**json.loads(text), "wall_time_s": 0}
+        return code, out.out, out.err, text
+
+    together = [call(args) for args in calls]
+    alone = []
+    for args in calls:
+        cli._build_parser.cache_clear()
+        alone.append(call(args))
+    assert [c[0] for c in together] == [0, 0, 2, 0]
+    assert "invalid int value: 'three'" in together[2][2]
+    assert together == alone
 
 
 class TestExperiment:

@@ -132,6 +132,56 @@ def test_merge_matches_reference_at_the_key_bound(r, top, data):
     assert as_items(Hypergraph.from_edges(r, top + 1, items)) == ref_merge(items)
 
 
+# (width w, base b, rows d, counted): the canonicaliser counts rows when the
+# key space b^w holds at most 4 keys per row, and sorts them otherwise.
+COUNT_BOUND = [
+    (2, 6, 9, True),  # b^w = 36 = 4d
+    (2, 5, 6, False),  # 25 = 4d + 1
+    (3, 4, 16, True),  # 64 = 4d
+    (3, 5, 31, False),  # 125 = 4d + 1
+    (1, 4, 1, True),  # a single row: 4 = 4d
+    (2, 3, 1, False),  # a single row: 9 > 4d
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", ["spread", "repeated"])
+@pytest.mark.parametrize("w, b, d, counted", COUNT_BOUND)
+def test_merge_matches_reference_at_the_count_bound(w, b, d, counted, case, seed, monkeypatch):
+    """Rows of w ids below b, one of them holding b - 1, drawn at random or
+    all equal to one repeated row, on each side of the bound: the counting
+    path sorts nothing, and both paths match the reference."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, b, size=(d, w))
+    if case == "repeated":
+        rows[:] = rows[0]
+    rows[0, rng.integers(w)] = b - 1
+    mult = rng.integers(1, 2**40, size=d)
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(1) or argsort(*a, **kw))
+    merged, summed = hypergraph._merge(rows, mult)
+    assert list(zip(map(tuple, merged.tolist()), summed.tolist())) == ref_merge(
+        zip(map(tuple, rows.tolist()), mult.tolist()), key=tuple)
+    assert merged.dtype == np.intp and summed.dtype == np.int64
+    assert not merged.flags.writeable and not summed.flags.writeable
+    if counted:
+        assert not sorts
+
+
+@pytest.mark.parametrize("n", [256, 257, 65_537])
+def test_incidence_matches_a_scan_of_the_edges(n):
+    """On each side of the 8- and 16-bit id types, with the ids 254, 255,
+    256 (where it is one) and n - 1 in edges."""
+    rng = np.random.default_rng(n)
+    rows = [rng.choice(n, size=3, replace=False) for _ in range(200)]
+    rows += [(0, 254, 255), (1, 2, n - 1)] + [(3, 255, 256)] * (n > 256)
+    h = Hypergraph(3, n, rows, np.ones(len(rows), dtype=np.int64))
+    assert len(h.incidence) == n
+    for v, found in enumerate(h.incidence):
+        assert found.tolist() == np.flatnonzero((h.edges == v).any(axis=1)).tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 9), st.booleans(), st.data())
 def test_adjacency_matches_two_add_at_passes(n, floats, data):
@@ -255,11 +305,27 @@ def test_kway_local_search_matches_reference_on_larger_graphs(r, k):
     assert cut_size(h, found, k) > cut_size(h, start, k)
 
 
-@pytest.mark.parametrize("r, k", [(r, k) for r in (3, 4, 5, 6) for k in range(2, r + 1)])
-def test_expectation_cut_matches_exact_reference(r, k):
+# m with k^(r-1) * m < 2^63 at r = 6, k = 5: the largest, whose scores fit
+# int64, and the next, whose do not.
+INT64_M = (2**63 - 1) // 5**5
+EXPECTATION_CASES = [(r, k, None) for r in (3, 4, 5, 6) for k in range(2, r + 1)] + [
+    (6, 5, INT64_M), (6, 5, INT64_M + 1), (6, 6, 2**53)]
+
+
+@pytest.mark.parametrize("r, k, m", EXPECTATION_CASES, ids=[
+    f"{r}-{k}" if m is None else f"{r}-{k}-m{m}" for r, k, m in EXPECTATION_CASES])
+def test_expectation_cut_matches_exact_reference(r, k, m):
     """Past enumeration's reach (k^n <= 5^5): every vertex's part against the
-    exact expected cut, summed edge by edge."""
+    exact expected cut, summed edge by edge.  Where m is given, one edge
+    takes the multiplicity that brings the total to m, on each side of
+    k^(r-1) * m < 2^63 and, at 6^5 * 2^53, far past it: there its gain
+    times its multiplicity would wrap int64."""
     h = seeded_graph(1000 * r + k, r)
+    if m is not None:
+        mult = h.mult.copy()
+        mult[0] += m - h.m
+        h = Hypergraph(r, h.n, h.edges, mult)
+        assert h.m == m
     assert _CutEvaluator(h, k).expectation_cut().tolist() == ref_expectation_cut_exact(h, k)
 
 
