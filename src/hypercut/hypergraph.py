@@ -176,7 +176,7 @@ class Hypergraph:
         ids = self.edges.ravel().astype(np.min_scalar_type(self.n - 1))
         by_vertex = np.argsort(ids, kind="stable") // self.r
         ends = np.cumsum(np.bincount(self.edges.ravel(), minlength=self.n))
-        return np.split(by_vertex, ends[:-1])
+        return np.split(by_vertex, ends)[:-1]  # n pieces, none at n = 0
 
 
 def _max_merged(rows: np.ndarray, mult: np.ndarray) -> int:

@@ -176,15 +176,17 @@ class _CutEvaluator:
         Moving v to part b gains win[v, b] - loss[v]: loss[v] weighs the cut
         edges in which v is alone in its part, win[v, b] the edges that miss
         only part b and in which v is not alone.  One (k+1, n) gain table
-        holds win in rows 0..k-1 and loss in row k.  Each (slot, edge)
-        caches the table cell its term sits in and whether the term is live
-        (``_slot_terms``).  A move changes the part counts of v's edges only:
-        their cached old terms are subtracted and their new terms added,
-        cell by cell, so a move costs O(r * deg v) beside the O(nk) search
-        for the next movable vertex.  The table is int64: an entry sums
-        weights of one vertex's edges, at most m <= 2^53, so it is exact.
-        Cells are int32: n(k+1) stays below 2^31 within solve_kcut's
-        capacity (n <= 10^4, k <= 1000).
+        holds win in rows 0..k-1 and loss in row k; one more cell, a sink
+        that is never read, follows it.  Each (slot, edge) caches the table
+        cell its term sits in, the sink for a dead term (``_slot_terms``), so
+        the table is the weight sum of every term's cell.  A move changes the
+        part counts of v's edges only: their cached old terms are subtracted
+        and their new terms added, cell by cell, so a move costs
+        O(r * deg v) beside the O(nk) search for the next movable vertex.
+        The table is int64: an entry sums weights of one vertex's edges, at
+        most m <= 2^53, so it is exact, and the sink sums at most r * m <=
+        1000 * 2^53 < 2^63, so it never wraps.  Cells are int32: (k+1)n + 1
+        stays below 2^31 within solve_kcut's capacity (n <= 10^4, k <= 1000).
         """
         a = np.array(assign, dtype=np.intp)
         h, k = self.h, self.k
@@ -194,10 +196,10 @@ class _CutEvaluator:
         verts = np.ascontiguousarray(h.edges.T)  # slot x edge
         parts = np.take(a, verts)
         counts = np.bincount((parts * d + np.arange(d)).ravel(), minlength=k * d).reshape(k, d)
-        cells, live = (x.ravel() for x in _slot_terms(verts, parts, counts, h.n))
-        table = np.zeros((k + 1) * h.n, dtype=np.int64)
-        np.add.at(table, cells, live * np.tile(h.mult, h.r))
-        gains, span = table.reshape(k + 1, h.n), np.arange(h.r)[:, None] * d
+        cells = _slot_terms(verts, parts, counts, h.n).ravel()
+        table = np.zeros((k + 1) * h.n + 1, dtype=np.int64)
+        np.add.at(table, cells, np.tile(h.mult, h.r))
+        gains, span = table[:-1].reshape(k + 1, h.n), np.arange(h.r)[:, None] * d
         cursor = 0
         while True:
             movable = np.flatnonzero(gains[:k].max(axis=0) > gains[k])
@@ -207,36 +209,34 @@ class _CutEvaluator:
             b = int(np.argmax(gains[:k, v] > gains[k, v]))
             edges = self.inc[v]
             slots = span + edges  # flat (slot, edge) positions of v's edges
-            c = np.take(counts, edges, axis=1)
-            c[a[v]] -= 1
-            c[b] += 1
-            counts[a[v], edges], counts[b, edges] = c[a[v]], c[b]
+            counts[a[v], edges] -= 1
+            counts[b, edges] += 1
             a[v] = b
             rows = np.take(verts, slots)
-            new_cells, new_live = _slot_terms(rows, np.take(a, rows), c, h.n)
-            w = np.take(h.mult, edges)
+            old = np.take(cells, slots)
+            new = _slot_terms(rows, np.take(a, rows), np.take(counts, edges, axis=1), h.n)
+            w = np.tile(np.take(h.mult, edges), h.r)
             # 1-D indices: ufunc.at has a fast path for them
-            np.subtract.at(table, np.take(cells, slots).ravel(), (np.take(live, slots) * w).ravel())
-            np.add.at(table, new_cells.ravel(), (new_live * w).ravel())
-            cells[slots], live[slots] = new_cells, new_live
+            np.add.at(table, np.concatenate([old.ravel(), new.ravel()]), np.concatenate([-w, w]))
+            cells[slots] = new
             cursor = v + 1
 
 
-def _slot_terms(rows: np.ndarray, parts: np.ndarray, c: np.ndarray, n: int):
-    """The gain-table cell (row * n + vertex) of each (slot, edge) of the
-    (r, e) vertex ids ``rows``, with parts ``parts`` and (k, e) part counts
-    ``c``, and whether its term is live.  A vertex alone in its part has a
-    loss term, row k, live when the edge is cut.  Any other has a win term
-    in the edge's missing part, live when exactly one part is missing; a
-    dead win term points at row k too."""
+def _slot_terms(rows: np.ndarray, parts: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """The int32 gain-table cell (row * n + vertex) of each (slot, edge) of
+    the (r, e) vertex ids ``rows``, with parts ``parts`` and (k, e) part
+    counts ``c``.  A vertex alone in its part has a loss term, row k, live
+    when the edge is cut.  Any other has a win term in the edge's missing
+    part, live when exactly one part is missing.  A dead term's cell is the
+    sink, (k+1) * n."""
     k, e = c.shape
     alone = np.take(c, parts * e + np.arange(e)) == 1
     missed = c == 0
     missing = missed.sum(axis=0)
     # the one missing part, where only one is: the sum of missing part ids
-    row = np.where(missing == 1, np.arange(k) @ missed, k)
+    cell = np.where(alone, k, np.arange(k) @ missed) * n + rows
     live = np.where(alone, missing == 0, missing == 1)
-    return (np.where(alone, k, row) * n + rows).astype(np.int32), live
+    return np.where(live, cell, (k + 1) * n).astype(np.int32)
 
 
 def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:

@@ -2,7 +2,8 @@
 ``reference.py``, on random multi-hypergraphs (r in {2, 3, 4}, n <= 8,
 multiplicities 1-3), the chunked best-cut pick against a min over tuples,
 the lift against one draw per trial, the lockstep 1-flip search against one
-sweep loop per start, the k-way search and the conditional-expectation cut
+sweep loop per start, the k-way search's term cells against a per-term
+rule, the k-way search and the conditional-expectation cut
 also on seeded graphs of 20-30 vertices and 100-300 edges, the latter
 against enumeration of completions and exact per-edge cut chances, the
 byte-scan parser against the line-by-line one, the packed-key canonicaliser
@@ -45,7 +46,7 @@ from hypercut import (
 )
 from hypercut import generators, hypergraph, oracle
 from hypercut.spectral import adjacency
-from hypercut.solver import _CutEvaluator
+from hypercut.solver import _CutEvaluator, _slot_terms
 from conftest import random_multigraph, random_symmetric
 from reference import (
     as_items,
@@ -169,13 +170,14 @@ def test_merge_matches_reference_at_the_count_bound(w, b, d, counted, case, seed
         assert not sorts
 
 
-@pytest.mark.parametrize("n", [256, 257, 65_537])
+@pytest.mark.parametrize("n", [0, 1, 256, 257, 65_537])
 def test_incidence_matches_a_scan_of_the_edges(n):
     """On each side of the 8- and 16-bit id types, with the ids 254, 255,
-    256 (where it is one) and n - 1 in edges."""
+    256 (where it is one) and n - 1 in edges, and on n = 0 and 1, which
+    hold no edge: one row per vertex, none at n = 0."""
     rng = np.random.default_rng(n)
-    rows = [rng.choice(n, size=3, replace=False) for _ in range(200)]
-    rows += [(0, 254, 255), (1, 2, n - 1)] + [(3, 255, 256)] * (n > 256)
+    rows = [rng.choice(n, size=3, replace=False) for _ in range(200 * (n >= 3))]
+    rows += [(0, 254, 255), (1, 2, n - 1)] * (n >= 256) + [(3, 255, 256)] * (n > 256)
     h = Hypergraph(3, n, rows, np.ones(len(rows), dtype=np.int64))
     assert len(h.incidence) == n
     for v, found in enumerate(h.incidence):
@@ -303,6 +305,35 @@ def test_kway_local_search_matches_reference_on_larger_graphs(r, k):
     found = _CutEvaluator(h, k).local_search(start).tolist()
     assert found == ref_local_search(as_items(h), h.n, start, k)
     assert cut_size(h, found, k) > cut_size(h, start, k)
+
+
+@pytest.mark.parametrize("r, k", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 5), (5, 6)])
+def test_slot_terms_follow_the_per_term_rule(r, k):
+    """Each (slot, edge) cell is the loss row k where its vertex is alone in
+    its part and the edge is cut, the win row b where the vertex is not
+    alone and b is the edge's one missing part, and the sink (k+1) * n
+    otherwise, on edges that miss 0, 1 and 2 parts (1 and 2 at k = r + 1)."""
+    rng = np.random.default_rng(10 * r + k)
+    n, e = 12, 80
+    rows = np.array([rng.choice(n, size=r, replace=False) for _ in range(e)]).T
+    missing_counts = range(max(k - r, 0), min(2, k - 1) + 1)
+    parts = np.empty((r, e), dtype=np.intp)
+    for i in range(e):
+        met = rng.choice(k, size=k - int(rng.choice(missing_counts)), replace=False)
+        parts[:, i] = rng.permutation(np.concatenate([met, rng.choice(met, size=r - len(met))]))
+    cells = _slot_terms(rows, parts, np.array([(parts == b).sum(axis=0) for b in range(k)]), n)
+    assert cells.dtype == np.int32 and cells.shape == (r, e)
+    seen = set()
+    for i, col in enumerate(parts.T.tolist()):
+        missing = [b for b in range(k) if b not in col]
+        seen.add(len(missing))
+        for j, p in enumerate(col):
+            if col.count(p) == 1:
+                row = k if not missing else None
+            else:
+                row = missing[0] if len(missing) == 1 else None
+            assert cells[j, i] == ((k + 1) * n if row is None else row * n + rows[j, i])
+    assert seen == set(missing_counts)
 
 
 # m with k^(r-1) * m < 2^63 at r = 6, k = 5: the largest, whose scores fit
