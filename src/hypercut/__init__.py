@@ -1,5 +1,7 @@
 """Spectral surplus machinery for max-k-cut in r-uniform multi-hypergraphs."""
 
+import types as _types
+
 from .errors import CapacityError, InputError, NumericError
 from .experiments import (
     RECORD_COLUMNS,
@@ -53,9 +55,8 @@ from .spectral import (
     SymmetricMatrix,
     eigen_decompose,
     energy,
-    negative_eigenspace_psd,
     sdp_energy_bound,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _types.ModuleType)]
 __version__ = "0.1.0"

@@ -81,7 +81,6 @@ def colored_sampling_experiment(
         b = adjacency(h.n, rows[chosen, :2], mult[chosen])
         dec = eigen_decompose(SymmetricMatrix(p * a - b))
         norm_dev = dec.spectral_radius
-        energy_dev = float(np.sum(np.abs(dec.eigenvalues)))
         records.append(
             ExperimentRecord(
                 rep=rep,
@@ -91,7 +90,7 @@ def colored_sampling_experiment(
                 max_degree=delta,
                 color_degree_bound=dcol,
                 norm_dev=norm_dev,
-                energy_dev=energy_dev,
+                energy_dev=dec.energy,
                 threshold=threshold,
                 passed=norm_dev <= threshold,
             )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -261,7 +262,7 @@ def cut_size(h: Hypergraph, assignment: Sequence[int], k: int) -> int:
     """Number of edges (with multiplicity) meeting all k parts."""
     a = np.asarray(assignment, dtype=np.int64)
     if a.shape != (h.n,):
-        raise InputError(f"assignment length {len(assignment)} != vertex count {h.n}")
+        raise InputError(f"assignment shape {a.shape} != vertex count ({h.n},)")
     if h.n and (a.min() < 0 or a.max() >= k):
         raise InputError(f"part ids {a.min()}..{a.max()} leave the range [0, {k})")
     return int(cut_values(h, a, k))
@@ -291,6 +292,17 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
     )
 
 
+def vertex_ids(h: Hypergraph, ids: Iterable[int]) -> np.ndarray:
+    """``ids`` as an int64 array, refused unless each is an integer vertex of h."""
+    try:
+        out = np.fromiter(map(operator.index, ids), dtype=np.int64)
+    except (TypeError, OverflowError) as exc:
+        raise InputError(f"vertex ids must be integers in [0, {h.n}): {exc}") from exc
+    if len(out) and (out.min() < 0 or out.max() >= h.n):
+        raise InputError(f"vertex ids leave the range [0, {h.n})")
+    return out
+
+
 def induced_sub(
     h: Hypergraph, vertex_set: Iterable[int]
 ) -> tuple[Hypergraph, tuple[int, ...]]:
@@ -299,9 +311,7 @@ def induced_sub(
     Returns (subgraph, original_ids) where original_ids[i] is the vertex of h
     that became vertex i of the subgraph.
     """
-    keep = np.unique(np.fromiter(vertex_set, dtype=np.int64))
-    if len(keep) and (keep[0] < 0 or keep[-1] >= h.n):
-        raise InputError(f"vertex set leaves the range [0, {h.n})")
+    keep = np.unique(vertex_ids(h, vertex_set))
     relabel = np.full(h.n, -1, dtype=np.int64)
     relabel[keep] = np.arange(len(keep))
     rows = relabel[h.edges]

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .spectral import (
-    EigenDecomposition,
-    SymmetricMatrix,
-    eigen_decompose,
-    negative_eigenvalue_mask,
-)
+from .spectral import SymmetricMatrix, eigen_decompose, gram_vectors
 
 
 @dataclass(frozen=True)
@@ -30,12 +25,6 @@ class BipartitionResult:
     x: tuple[int, ...]  # signs in {-1, +1}
     value: float  # quadratic surplus of x
     flips: int
-
-
-def gram_vectors(e: EigenDecomposition) -> np.ndarray:
-    """(n, d) rows z_i realizing the certificate, <z_i, z_j> = X(i, j); d is
-    the number of negative eigenvalues."""
-    return e.vectors[:, negative_eigenvalue_mask(e)]
 
 
 def gaussian_sign_round(

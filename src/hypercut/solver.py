@@ -31,6 +31,7 @@ from .hypergraph import (
     degree_profile,
     induced_sub,
     underlying_multigraph,
+    vertex_ids,
 )
 from .rounding import best_bipartition
 from .spectral import SymmetricMatrix, adjacency
@@ -244,11 +245,8 @@ def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:
     so that e_H(X, Y, Z) = e_{G*}(Y, Z) for every bipartition (Y, Z) of the rest."""
     if h.r != 3:
         raise InputError(f"sampling reduction needs r=3, got r={h.r}")
-    xs = np.fromiter(x, dtype=np.int64)
-    if len(xs) and (xs.min() < 0 or xs.max() >= h.n):
-        raise InputError(f"sampled set leaves the vertex range [0, {h.n})")
     sampled = np.zeros(h.n, dtype=bool)
-    sampled[xs] = True
+    sampled[vertex_ids(h, x)] = True
     rest = np.flatnonzero(~sampled)
     relabel = np.cumsum(~sampled) - 1
     inside = sampled[h.edges]
@@ -341,20 +339,19 @@ def solve_3cut(h: Hypergraph, plan: SamplePlan) -> np.ndarray:
     return ev.best([direct, ev.local_search(assign)])
 
 
-def reduce_cut_up(h: Hypergraph, assign: Sequence[int], trials: int, seed: int) -> np.ndarray:
+def reduce_cut_up(h: Hypergraph, assign: Sequence[int], plan: SamplePlan) -> np.ndarray:
     """Lift an (r-1)-cut assignment to an r-cut one by carving a random new
-    part (each vertex moved with probability 1/r); best of ``trials`` draws."""
+    part (each vertex moved with probability 1/r); best of ``plan.trials``
+    draws from ``plan.seed``."""
     r = h.r
     base = np.asarray(assign, dtype=np.intp)
     if base.shape != (h.n,):
         raise InputError(f"assignment shape {base.shape} != vertex count ({h.n},)")
     if h.n and (base.min() < 0 or base.max() >= r - 1):
         raise InputError(f"part ids {base.min()}..{base.max()} leave the range [0, {r - 1})")
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
     ev = _CutEvaluator(h, r)
-    rng = np.random.default_rng(seed)
-    draws = (np.where(rng.random(h.n) < 1.0 / r, r - 1, base) for _ in range(trials))
+    rng = np.random.default_rng(plan.seed)
+    draws = (np.where(rng.random(h.n) < 1.0 / r, r - 1, base) for _ in range(plan.trials))
     return ev.best(draws)
 
 
@@ -415,7 +412,7 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
         cur = solve_3cut(chain[3], plan)
         for j in range(4, k + 1):
             seed = child_seeds([plan.seed, 10 + j], 1)[0]
-            cur = reduce_cut_up(chain[j], cur, trials=plan.trials, seed=seed)
+            cur = reduce_cut_up(chain[j], cur, SamplePlan(plan.trials, seed))
         candidates.append(cur if h.r == 3 else ev.local_search(cur))
     else:
         notes = (_BASELINE_NOTE,)

@@ -71,9 +71,12 @@ class EigenDecomposition:
 
     @property
     def spectral_radius(self) -> float:
-        if self.n == 0:
-            return 0.0
-        return float(np.max(np.abs(self.eigenvalues)))
+        return float(np.max(np.abs(self.eigenvalues), initial=0.0))
+
+    @property
+    def energy(self) -> float:
+        """Sum of absolute values of the eigenvalues."""
+        return float(np.sum(np.abs(self.eigenvalues)))
 
 
 def eigen_decompose(a: SymmetricMatrix) -> EigenDecomposition:
@@ -96,7 +99,7 @@ def eigen_decompose(a: SymmetricMatrix) -> EigenDecomposition:
 
 def energy(a: SymmetricMatrix) -> float:
     """Sum of absolute values of the eigenvalues."""
-    return float(np.sum(np.abs(eigen_decompose(a).eigenvalues)))
+    return eigen_decompose(a).energy
 
 
 def negative_eigenvalue_mask(e: EigenDecomposition) -> np.ndarray:
@@ -108,25 +111,19 @@ def negative_eigenvalue_mask(e: EigenDecomposition) -> np.ndarray:
     return e.eigenvalues < cut
 
 
-def negative_eigenspace_psd(e: EigenDecomposition) -> SymmetricMatrix:
-    """Projector onto the negative eigenspace: X = sum of v_i v_i^T over
-    eigenvalues below the negativity threshold.  PSD with diagonal <= 1."""
-    neg = e.vectors[:, negative_eigenvalue_mask(e)]
-    x = neg @ neg.T
-    return SymmetricMatrix((x + x.T) / 2.0)
+def gram_vectors(e: EigenDecomposition) -> np.ndarray:
+    """(n, d) rows z_i realizing the certificate, <z_i, z_j> = X(i, j); d is
+    the number of negative eigenvalues."""
+    return e.vectors[:, negative_eigenvalue_mask(e)]
 
 
 def sdp_energy_bound(a: SymmetricMatrix) -> float:
-    """Value -1/2 <X, A> of the negative-eigenspace certificate.
-
-    For trace-free A this equals one quarter of the energy, since the
-    negative eigenvalues then sum to minus half the energy.
-    """
+    """Value -1/2 <Z Z^T, A> of the certificate: tr(Z^T A Z) sums the masked
+    eigenvalues, so it is read off the spectrum.  For trace-free A it is one
+    quarter of the energy, the negative eigenvalues then summing to -E/2."""
     dec = eigen_decompose(a)
-    fro = float(np.linalg.norm(a.a))
-    trace_tol = a.n * TOL * max(1.0, fro)
+    trace_tol = a.n * TOL * max(1.0, float(np.linalg.norm(a.a)))
     tr = float(np.trace(a.a))
     if abs(tr) > trace_tol:
         raise InputError(f"matrix trace {tr:.3e} exceeds tolerance {trace_tol:.3e}")
-    x = negative_eigenspace_psd(dec)
-    return float(-0.5 * np.sum(x.a * a.a))
+    return float(-0.5 * np.sum(dec.eigenvalues[negative_eigenvalue_mask(dec)]))

@@ -1,4 +1,5 @@
 import itertools
+import types
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from hypercut import (
     induced_sub,
     parse_hypergraph,
     random_cut_coefficient,
+    sample_and_reduce,
     stirling2,
     underlying_multigraph,
 )
@@ -86,9 +88,12 @@ class TestCutSize:
         k4 = gen_complete(2, 4)
         assert cut_size(k4, [0, 0, 1, 1], 2) == 4
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize(
+        "assignment", [[0, 1], 5, [[0, 1, 2]]], ids=["short", "scalar", "2-d"]
+    )
+    def test_length_mismatch(self, assignment):
         with pytest.raises(InputError):
-            cut_size(TRIPLE, [0, 1], 3)
+            cut_size(TRIPLE, assignment, 3)
 
     def test_part_out_of_range(self):
         with pytest.raises(InputError):
@@ -183,6 +188,21 @@ class TestInducedSub:
     def test_out_of_range(self):
         with pytest.raises(InputError):
             induced_sub(TRIPLE, {0, 5})
+
+
+@pytest.mark.parametrize("ids", [[0.5], [1.7], [0, 2.0]], ids=["0.5", "1.7", "2.0"])
+@pytest.mark.parametrize(
+    "take", [induced_sub, sample_and_reduce], ids=["induced_sub", "sample_and_reduce"]
+)
+def test_non_integer_vertex_ids_refused(take, ids):
+    with pytest.raises(InputError):
+        take(TRIPLE, ids)
+
+
+def test_star_import_binds_no_module():
+    names: dict = {}
+    exec("from hypercut import *", names)
+    assert [n for n, v in names.items() if isinstance(v, types.ModuleType)] == []
 
 
 class TestTextFormat:

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from hypercut import (
     Hypergraph,
     InputError,
+    SamplePlan,
     SymmetricMatrix,
     brute_force_max_kcut,
     colored_sampling_experiment,
@@ -256,7 +257,7 @@ def test_best_cut_matches_reference(h, data):
 def test_reduce_cut_up_matches_reference(h, data):
     base = data.draw(st.lists(st.integers(0, h.r - 2), min_size=h.n, max_size=h.n))
     trials, seed = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 2**32))
-    lifted = reduce_cut_up(h, base, trials, seed)
+    lifted = reduce_cut_up(h, base, SamplePlan(trials, seed))
     assert tuple(lifted.tolist()) == ref_reduce_cut_up(h, base, trials, seed)
 
 

@@ -14,9 +14,8 @@ from hypercut import (
     gaussian_sign_round,
     gen_complete,
     local_search_1flip,
-    negative_eigenspace_psd,
 )
-from hypercut.rounding import gram_vectors
+from hypercut.spectral import gram_vectors, negative_eigenvalue_mask
 from conftest import random_multigraph
 from reference import quadratic_surplus
 
@@ -49,8 +48,9 @@ class TestGramVectors:
             a = SymmetricMatrix.from_pair_graph(g)
             dec = eigen_decompose(a)
             z = gram_vectors(dec)
-            x = negative_eigenspace_psd(dec)
-            assert np.allclose(z @ z.T, x.a, atol=8e-9)
+            neg = dec.vectors[:, negative_eigenvalue_mask(dec)]
+            x = sum(np.outer(v, v) for v in neg.T)
+            assert np.allclose(z @ z.T, x, atol=8e-9)
 
 
 class TestGaussianSignRound:

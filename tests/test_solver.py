@@ -250,7 +250,7 @@ class TestSolve3CutAuto:
 
 class TestReduceCutUp:
     def test_single_edge_lift(self):
-        lifted = reduce_cut_up(TRIPLE, [0, 0, 1], trials=50, seed=0)
+        lifted = reduce_cut_up(TRIPLE, [0, 0, 1], SamplePlan(50, 0))
         assert lifted.dtype == np.intp and lifted.shape == (3,)
         assert KCut.from_assignment(TRIPLE, lifted, 3).cut_value == 1
 
@@ -261,12 +261,12 @@ class TestReduceCutUp:
     )
     def test_refuses_bad_input(self, assign, trials):
         with pytest.raises(InputError):
-            reduce_cut_up(TRIPLE, assign, trials=trials, seed=0)
+            reduce_cut_up(TRIPLE, assign, SamplePlan(trials, 0))
 
     def test_complete_4graph_reaches_oracle(self):
         h = gen_complete(4, 5)
         best3 = brute_force_max_kcut(h, 3)
-        lifted = reduce_cut_up(h, best3.assignment, trials=200, seed=1)
+        lifted = reduce_cut_up(h, best3.assignment, SamplePlan(200, 1))
         assert cut_size(h, lifted, 4) == brute_force_max_kcut(h, 4).cut_value
 
     def test_expected_retention_statistics(self):
@@ -276,7 +276,7 @@ class TestReduceCutUp:
         r = 4
         c_r = 2.0 * (1.0 - 1.0 / r) ** (r - 1) / r
         vals = [
-            cut_size(h, reduce_cut_up(h, base.assignment, trials=1, seed=s), 4)
+            cut_size(h, reduce_cut_up(h, base.assignment, SamplePlan(1, s)), 4)
             for s in range(200)
         ]
         mean = np.mean(vals)
