@@ -207,11 +207,12 @@ class KCut:
     def from_assignment(
         cls, h: Hypergraph, assignment: Sequence[int], k: int, notes: tuple[str, ...] = ()
     ) -> "KCut":
-        value = cut_size(h, assignment, k)
+        parts = part_ids(h, assignment, k)
+        value = cut_size(h, parts, k)
         coeff = random_cut_coefficient(h.r, k) if 2 <= k <= h.r else Fraction(0)
         return cls(
             k=k,
-            assignment=tuple(int(a) for a in assignment),
+            assignment=tuple(parts.tolist()),
             cut_value=value,
             surplus=Fraction(value) - coeff * h.m,
             notes=notes,
@@ -258,14 +259,28 @@ def cut_values(h: Hypergraph, assign: np.ndarray, k: int) -> np.ndarray:
     return cut_counts(h, part_masks(bits, h.edges), (1 << k) - 1)
 
 
-def cut_size(h: Hypergraph, assignment: Sequence[int], k: int) -> int:
-    """Number of edges (with multiplicity) meeting all k parts."""
-    a = np.asarray(assignment, dtype=np.int64)
+def part_ids(h: Hypergraph, assignment: Sequence[int], k: int) -> np.ndarray:
+    """``assignment`` as an (n,) int64 array, refused unless each entry is an
+    integer part id in [0, k).  An integer or bool array is cast as a whole;
+    anything else goes entry by entry through ``operator.index``, so that a
+    float, even an integral one, is refused, not truncated."""
+    try:
+        a = np.asarray(assignment)
+        if a.dtype.kind not in "biu":
+            a = np.fromiter(map(operator.index, a.ravel()), np.int64, a.size).reshape(a.shape)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"part ids must be integers in [0, {k}): {exc}") from None
+    a = a.astype(np.int64, copy=False)
     if a.shape != (h.n,):
         raise InputError(f"assignment shape {a.shape} != vertex count ({h.n},)")
     if h.n and (a.min() < 0 or a.max() >= k):
         raise InputError(f"part ids {a.min()}..{a.max()} leave the range [0, {k})")
-    return int(cut_values(h, a, k))
+    return a
+
+
+def cut_size(h: Hypergraph, assignment: Sequence[int], k: int) -> int:
+    """Number of edges (with multiplicity) meeting all k parts."""
+    return int(cut_values(h, part_ids(h, assignment, k), k))
 
 
 def edge_subsets(h: Hypergraph, q: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,10 +30,11 @@ from .hypergraph import (
     cut_values,
     degree_profile,
     induced_sub,
+    part_ids,
     underlying_multigraph,
     vertex_ids,
 )
-from .rounding import best_bipartition
+from .rounding import best_bipartition, bipartition_starts, local_search_1flip_groups
 from .spectral import SymmetricMatrix, adjacency
 
 # Largest vertex count solve_kcut accepts: each collapsed pair graph becomes a
@@ -42,6 +43,13 @@ MAX_VERTICES = 10_000
 # Largest sampling budget: solve_3cut spawns one seed per trial up front.
 MAX_TRIALS = 10_000
 SAMPLE_P = 1.0 / 3.0  # probability that a vertex joins the sampled set X
+# Start rows x padded width at which a 3-cut's pending trials are searched
+# as one 1-flip lockstep.  Below it a round costs numpy call overhead, not
+# cells, so stacking trials saves rounds; past it the stack outgrows the
+# cache and a solve runs slower.  2^15 was fastest on a 2-core x86 host with
+# numpy 2.4 and one BLAS thread.  A pair graph of more than about 240
+# vertices reaches it alone, and is searched alone.
+_LOCKSTEP_CELLS = 1 << 15
 _BASELINE_NOTE = "baseline-only: k outside the guaranteed range {r-1, r}"
 
 
@@ -229,15 +237,19 @@ def _slot_terms(rows: np.ndarray, parts: np.ndarray, c: np.ndarray, n: int) -> n
     counts ``c``.  A vertex alone in its part has a loss term, row k, live
     when the edge is cut.  Any other has a win term in the edge's missing
     part, live when exactly one part is missing.  A dead term's cell is the
-    sink, (k+1) * n."""
+    sink, (k+1) * n.  Each choice is arithmetic on 0/1 masks: a select on a
+    data-dependent mask branches per cell and costs several times as much."""
     k, e = c.shape
     alone = np.take(c, parts * e + np.arange(e)) == 1
     missed = c == 0
-    missing = missed.sum(axis=0)
     # the one missing part, where only one is: the sum of missing part ids
-    cell = np.where(alone, k, np.arange(k) @ missed) * n + rows
-    live = np.where(alone, missing == 0, missing == 1)
-    return np.where(live, cell, (k + 1) * n).astype(np.int32)
+    one = np.arange(k) @ missed
+    live = missed.sum(axis=0) == 1 - alone  # none missing if alone, else one
+    sink = (k + 1) * n
+    cell = (one + alone * (k - one)) * n + rows - sink
+    cell *= live
+    cell += sink
+    return cell.astype(np.int32)
 
 
 def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:
@@ -257,27 +269,50 @@ def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:
     return ReducedInstance(rest=rest, pairs=pairs, weights=np.compress(one, h.mult))
 
 
-def _sampled_cut(h: Hypergraph, rng: np.random.Generator) -> np.ndarray:
-    """One trial of _direct_3cut: X = the sampled vertices, and the rounded
-    2-cut (Y, Z) of the pair graph that X collapses the rest onto."""
-    sampled = np.flatnonzero(rng.random(h.n) < SAMPLE_P)
-    red = sample_and_reduce(h, sampled)
-    assign = np.full(h.n, 1, dtype=np.intp)
-    assign[sampled] = 0
-    if len(red.weights):
+def _sampled_cuts(h: Hypergraph, plan: SamplePlan) -> Iterator[np.ndarray]:
+    """Each trial of _direct_3cut: X = the sampled vertices, and the rounded
+    2-cut (Y, Z) of the pair graph that X collapses the rest onto.  Each
+    trial samples X and draws its Gaussians from its own generator, in trial
+    order, and its 1-flip search waits: the pending trials' searches run as
+    one lockstep once their start rows x padded width reach _LOCKSTEP_CELLS,
+    and after the last trial.  So the cuts leave out of trial order, and a
+    trial whose X collapses no edge leaves at once, unrounded."""
+    pending: list[tuple[np.ndarray, np.ndarray, SymmetricMatrix, np.ndarray]] = []
+    rows = width = 0
+    for seq in np.random.SeedSequence(plan.seed).spawn(plan.trials):
+        rng = np.random.default_rng(seq)  # one stream per trial: X, then its Gaussians
+        sampled = np.flatnonzero(rng.random(h.n) < SAMPLE_P)
+        red = sample_and_reduce(h, sampled)
+        assign = np.full(h.n, 1, dtype=np.intp)
+        assign[sampled] = 0
+        if not len(red.weights):
+            yield assign
+            continue
         a = SymmetricMatrix(adjacency(len(red.rest), red.pairs, red.weights))
-        bp = best_bipartition(a, seed=rng)  # one stream per trial: X, then its Gaussians
-        assign[red.rest[np.asarray(bp.x) < 0]] = 2
-    return assign
+        starts = bipartition_starts(a, seed=rng)
+        pending.append((assign, red.rest, a, starts))
+        rows, width = rows + len(starts), max(width, a.n)
+        if rows * width >= _LOCKSTEP_CELLS:
+            yield from _round_pending(pending)
+            pending, rows, width = [], 0, 0
+    yield from _round_pending(pending)
+
+
+def _round_pending(pending) -> Iterator[np.ndarray]:
+    """Each pending trial's assignment, with the rest's negative side of its
+    searched 2-cut moved to part 2."""
+    results = local_search_1flip_groups([(a, starts) for _, _, a, starts in pending])
+    for (assign, rest, _, _), bp in zip(pending, results):
+        assign[rest[np.asarray(bp.x) < 0]] = 2
+        yield assign
 
 
 def _direct_3cut(h: Hypergraph, plan: SamplePlan) -> np.ndarray:
     """The best of ``plan.trials`` sampled cuts of a 3-graph with edges,
-    after k-way search."""
+    after k-way search.  The pick does not depend on the order in which the
+    trials' cuts arrive."""
     ev = _CutEvaluator(h, 3)
-    children = np.random.SeedSequence(plan.seed).spawn(plan.trials)
-    winner = ev.best(_sampled_cut(h, np.random.default_rng(seq)) for seq in children)
-    return ev.local_search(winner)
+    return ev.local_search(ev.best(_sampled_cuts(h, plan)))
 
 
 def _ceil_root5(x: int) -> int:
@@ -344,11 +379,7 @@ def reduce_cut_up(h: Hypergraph, assign: Sequence[int], plan: SamplePlan) -> np.
     part (each vertex moved with probability 1/r); best of ``plan.trials``
     draws from ``plan.seed``."""
     r = h.r
-    base = np.asarray(assign, dtype=np.intp)
-    if base.shape != (h.n,):
-        raise InputError(f"assignment shape {base.shape} != vertex count ({h.n},)")
-    if h.n and (base.min() < 0 or base.max() >= r - 1):
-        raise InputError(f"part ids {base.min()}..{base.max()} leave the range [0, {r - 1})")
+    base = part_ids(h, assign, r - 1)
     ev = _CutEvaluator(h, r)
     rng = np.random.default_rng(plan.seed)
     draws = (np.where(rng.random(h.n) < 1.0 / r, r - 1, base) for _ in range(plan.trials))

@@ -1,6 +1,7 @@
 """Pure-Python reference for the array code: a dict merge, a set-of-parts
 cut counter, the best-cut pick by tuple order and the one-draw-per-trial
-lift, the k-way probe search, the one-start 1-flip sweep, the
+lift, the k-way probe search, the one-start 1-flip sweep, the 3-cut's
+sampled trials rounded one after another, the
 conditional-expectation cut by enumeration and by exact per-edge cut
 chances, the line-by-line text parser and writer, the
 one-triple-at-a-time linear packer, the dense adjacency by two
@@ -10,7 +11,9 @@ Edges are lists of (vertex tuple, multiplicity) pairs.  Three references
 keep numpy for speed: the full k^(n-1) oracle scan, scored by
 ``cut_values`` (pinned to ``ref_cut`` by its own test), the
 one-draw-per-candidate generator, and the packer's candidate stream, which
-is shared with the code under test."""
+is shared with the code under test.  The trial-by-trial 3-cut calls the
+package's collapse, rounding and k-way search, one trial at a time: what it
+pins is that searching the trials together changes no cut."""
 
 import functools
 import itertools
@@ -19,7 +22,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from hypercut import BipartitionResult, Hypergraph, InputError, cut_values, generators
+from hypercut import (
+    BipartitionResult,
+    Hypergraph,
+    InputError,
+    SymmetricMatrix,
+    best_bipartition,
+    cut_values,
+    generators,
+    sample_and_reduce,
+)
+from hypercut.solver import SAMPLE_P, _CutEvaluator
+from hypercut.spectral import adjacency
 
 
 def ref_merge(items, key=lambda verts: tuple(sorted(verts))):
@@ -96,6 +110,26 @@ def ref_local_search_1flip(a, x):
         value=quadratic_surplus(a, xv),
         flips=flips,
     )
+
+
+def ref_direct_3cut(h, plan):
+    """The 3-cut's trials one after another: each samples X from its own
+    generator, collapses the 3-graph onto the rest's pair graph and, when a
+    pair is left, rounds it by ``best_bipartition`` from the same generator.
+    The best cut by ``ref_best``, after k-way search."""
+    cuts = []
+    for seq in np.random.SeedSequence(plan.seed).spawn(plan.trials):
+        rng = np.random.default_rng(seq)
+        sampled = np.flatnonzero(rng.random(h.n) < SAMPLE_P)
+        red = sample_and_reduce(h, sampled)
+        assign = np.full(h.n, 1)
+        assign[sampled] = 0
+        if len(red.weights):
+            a = SymmetricMatrix(adjacency(len(red.rest), red.pairs, red.weights))
+            bp = best_bipartition(a, seed=rng)
+            assign[red.rest[np.asarray(bp.x) < 0]] = 2
+        cuts.append(assign.tolist())
+    return _CutEvaluator(h, 3).local_search(ref_best(as_items(h), cuts, 3))
 
 
 def ref_expectation_cut(h, k):

@@ -1,7 +1,9 @@
 import itertools
 import types
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from hypercut import (
     Hypergraph,
     InputError,
     KCut,
+    SamplePlan,
     brute_force_max_kcut,
     cut_size,
     degree_profile,
@@ -20,10 +23,12 @@ from hypercut import (
     induced_sub,
     parse_hypergraph,
     random_cut_coefficient,
+    reduce_cut_up,
     sample_and_reduce,
     stirling2,
     underlying_multigraph,
 )
+from hypercut import hypergraph
 from conftest import random_multigraph
 
 TRIPLE = Hypergraph.from_edges(3, 3, [(0, 1, 2)])
@@ -99,6 +104,13 @@ class TestCutSize:
         with pytest.raises(InputError):
             cut_size(TRIPLE, [0, 1, 3], 3)
 
+    def test_integer_part_ids_are_cast_whole(self):
+        """An integer or bool array is not converted entry by entry."""
+        with mock.patch.object(hypergraph, "operator") as op:
+            op.index.side_effect = AssertionError("per-entry conversion")
+            for parts in ([0, 1, 2], np.array([0, 1, 2], dtype=np.uint8), (True, False, True)):
+                assert cut_size(TRIPLE, parts, 3) == (parts[2] == 2)
+
     def test_mixed_multiplicities(self):
         h = Hypergraph.from_edges(3, 4, [((0, 1, 2), 3), (0, 1, 3), ((0, 2, 3), 2), (1, 2, 3)])
         assert cut_size(h, [0, 1, 2, 0], 3) == 3 + 1  # (0, 1, 2) and (1, 2, 3)
@@ -106,10 +118,37 @@ class TestCutSize:
     @settings(max_examples=30, deadline=None)
     @given(small_hypergraphs, st.integers(0, 2**30), st.integers(2, 3))
     def test_bounds(self, h, seed, k):
-        import numpy as np
-
         assignment = np.random.default_rng(seed).integers(0, k, size=h.n)
         assert 0 <= cut_size(h, assignment.tolist(), k) <= h.m
+
+
+# Each reader of part ids, with the one-edge 3-graph: k = 3, or the 2-cut
+# that reduce_cut_up lifts to a 3-cut.
+PART_ID_READERS = {
+    "cut_size": lambda parts: cut_size(TRIPLE, parts, 3),
+    "KCut.from_assignment": lambda parts: KCut.from_assignment(TRIPLE, parts, 3),
+    "reduce_cut_up": lambda parts: reduce_cut_up(TRIPLE, parts, SamplePlan(5, 0)),
+}
+
+
+@pytest.mark.parametrize("read", PART_ID_READERS.values(), ids=PART_ID_READERS.keys())
+@pytest.mark.parametrize(
+    "parts",
+    [[0.5, 1.2, 1.9], [0.0, 1.0, 1.0], np.array([0.0, 1.0, 1.0]), ["0", "1", "1"], [0, 1, 2**70]],
+    ids=["fractions", "integral-floats", "float-array", "strings", "past-int64"],
+)
+def test_non_integer_part_ids_are_refused(read, parts):
+    """A part id that is not an integer is refused, not truncated: the
+    fractions would read as the valid [0, 1, 1]."""
+    with pytest.raises(InputError, match="part ids must be integers"):
+        read(parts)
+
+
+@pytest.mark.parametrize("read", PART_ID_READERS.values(), ids=PART_ID_READERS.keys())
+def test_integer_part_ids_keep_the_range_check(read):
+    read([0, 1, 1])
+    with pytest.raises(InputError, match="leave the range"):
+        read([0, 1, 5])
 
 
 class TestSurplus:

@@ -2,9 +2,11 @@
 ``reference.py``, on random multi-hypergraphs (r in {2, 3, 4}, n <= 8,
 multiplicities 1-3), the chunked best-cut pick against a min over tuples,
 the lift against one draw per trial, the lockstep 1-flip search against one
-sweep loop per start, the k-way search's term cells against a per-term
-rule, the k-way search and the conditional-expectation cut
-also on seeded graphs of 20-30 vertices and 100-300 edges, the latter
+sweep loop per start and, over groups of matrices, against each group
+alone, the batched 3-cut trials against one trial at a time, the k-way
+search's term cells against a per-term rule, the k-way search and the
+conditional-expectation cut also on seeded graphs of 20-30 vertices and
+100-300 edges, the latter
 against enumeration of completions and exact per-edge cut chances, the
 byte-scan parser against the line-by-line one, the packed-key canonicaliser
 on both sides of its int64 bound, the bincount adjacency and the pair-graph
@@ -45,7 +47,8 @@ from hypercut import (
     sample_and_reduce,
     underlying_multigraph,
 )
-from hypercut import generators, hypergraph, oracle
+from hypercut import generators, hypergraph, oracle, solver
+from hypercut.rounding import local_search_1flip_groups
 from hypercut.spectral import adjacency
 from hypercut.solver import _CutEvaluator, _slot_terms
 from conftest import random_multigraph, random_symmetric
@@ -54,6 +57,7 @@ from reference import (
     ref_adjacency,
     ref_best,
     ref_cut,
+    ref_direct_3cut,
     ref_expectation_cut,
     ref_expectation_cut_exact,
     ref_format,
@@ -379,28 +383,66 @@ def sign_problems(draw):
     return a, np.array([pool[i] for i in picks])
 
 
+def close(u):
+    """Equality up to rounding, for values of a non-integer matrix."""
+    return pytest.approx(u, rel=1e-9, abs=1e-9)
+
+
+def assert_reference_pick(a, stack, found):
+    """``found`` is the reference's best (x, value, flips) over the starts of
+    ``stack`` by (-value, x): exactly for an integer matrix.  For a
+    non-integer one the values agree up to rounding, so ``found`` may be any
+    start whose value ties the best up to rounding (x and -x always tie).
+    Returns the reference's per-start results."""
+    results = [ref_local_search_1flip(a, x) for x in stack]
+    best = min(results, key=lambda r: (-r.value, r.x))
+    if np.array_equal(a.a, np.round(a.a)):
+        assert found == best
+    else:
+        assert found.value == close(best.value)
+        assert (found.x, found.flips) in {
+            (r.x, r.flips) for r in results if r.value == close(best.value)
+        }
+    return results
+
+
 @settings(max_examples=150, deadline=None)
 @given(sign_problems())
 def test_local_search_1flip_matches_reference(problem):
-    """The stacked call returns the reference's best (x, value, flips) by
-    (-value, x); a single start returns the reference's own result.  Exact
-    for an integer matrix.  For a non-integer one the values agree up to
-    rounding, so the stacked call may pick any start whose value ties the
-    best up to rounding (x and -x always tie)."""
+    """The stacked call returns the reference's best start (see
+    ``assert_reference_pick``); a single start returns the reference's own
+    result, exactly for an integer matrix and up to rounding otherwise."""
     a, stack = problem
-    results = [ref_local_search_1flip(a, x) for x in stack]
-    best = min(results, key=lambda r: (-r.value, r.x))
-    found = local_search_1flip(a, stack)
+    results = assert_reference_pick(a, stack, local_search_1flip(a, stack))
     single = [local_search_1flip(a, stack[-1]), local_search_1flip(a, tuple(stack[0].tolist()))]
     if np.array_equal(a.a, np.round(a.a)):
-        assert found == best
         assert single == [results[-1], results[0]]
         return
-    close = lambda u: pytest.approx(u, rel=1e-9, abs=1e-9)  # noqa: E731
-    assert found.value == close(best.value)
-    assert (found.x, found.flips) in {(r.x, r.flips) for r in results if r.value == close(best.value)}
     for got, ref in zip(single, (results[-1], results[0])):
         assert (got.x, got.flips, got.value) == (ref.x, ref.flips, close(ref.value))
+
+
+@st.composite
+def sign_groups(draw):
+    """1-5 problems of ``sign_problems``, each drawing its own n, some cut
+    to a single start."""
+    groups = []
+    for _ in range(draw(st.integers(1, 5))):
+        a, stack = draw(sign_problems())
+        groups.append((a, stack[:1] if draw(st.booleans()) else stack))
+    return groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(sign_groups())
+def test_grouped_1flip_equals_each_group_alone(groups):
+    """One lockstep over zero-padded groups returns, for each group, its
+    search alone, bit for bit, also for a non-integer matrix, and so the
+    reference's pick over that group's starts."""
+    found = local_search_1flip_groups(groups)
+    assert found == [local_search_1flip(a, stack) for a, stack in groups]
+    for (a, stack), res in zip(groups, found):
+        assert_reference_pick(a, stack, res)
 
 
 def test_local_search_1flip_rejects_bad_stacks():
@@ -408,6 +450,53 @@ def test_local_search_1flip_rejects_bad_stacks():
     for bad in (np.empty((0, 4)), np.ones((2, 5)), np.ones((2, 3)), np.ones((1, 2, 4))):
         with pytest.raises(InputError):
             local_search_1flip(a, bad)
+
+
+@st.composite
+def sampled_3graphs(draw):
+    """(h, plan): a 3-graph with edges on 3-12 vertices, 1-8 edge items of
+    multiplicity 1-3, and 1-8 trials.  On so few edges many trials sample an
+    X that collapses no edge."""
+    n = draw(st.integers(3, 12))
+    edge = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    items = draw(st.lists(st.tuples(edge.map(tuple), st.integers(1, 3)), min_size=1, max_size=8))
+    plan = SamplePlan(trials=draw(st.integers(1, 8)), seed=draw(st.integers(0, 2**32)))
+    return Hypergraph.from_edges(3, n, items), plan
+
+
+@pytest.mark.parametrize("cells", [solver._LOCKSTEP_CELLS, 0], ids=["bound", "one-trial-batches"])
+@settings(max_examples=60, deadline=None)
+@given(sampled_3graphs())
+def test_direct_3cut_matches_trial_by_trial(cells, instance):
+    """Searching the trials in lockstep batches, of any size, gives the cut
+    of rounding them one after another."""
+    h, plan = instance
+    with mock.patch.object(solver, "_LOCKSTEP_CELLS", cells):
+        found = solver._direct_3cut(h, plan)
+    assert found.tolist() == ref_direct_3cut(h, plan).tolist()
+
+
+@pytest.mark.parametrize("cells", [solver._LOCKSTEP_CELLS, 1 << 12, 0])
+def test_direct_3cut_batches_match_on_seeded_graphs(cells):
+    """Pair graphs of up to 40 vertices, 14 trials each: the default bound
+    batches them all, 2^12 cells splits them into batches of a few, and a
+    bound of 0 searches each alone; some trials of the sparse graph
+    collapse no edge."""
+    collapsed = []
+
+    def reduce(h, x):
+        red = sample_and_reduce(h, x)
+        collapsed.append(len(red.weights))
+        return red
+
+    for n, p, seed in ((10, 0.03, 5), (30, 0.15, 6), (60, 0.05, 7)):
+        h = gen_random_uniform(3, n, p, seed)
+        plan = SamplePlan(trials=14, seed=seed)
+        with mock.patch.object(solver, "_LOCKSTEP_CELLS", cells), \
+                mock.patch.object(solver, "sample_and_reduce", reduce):
+            found = solver._direct_3cut(h, plan)
+        assert found.tolist() == ref_direct_3cut(h, plan).tolist()
+    assert 0 in collapsed and max(collapsed) > 0
 
 
 @settings(max_examples=60, deadline=None)
