@@ -12,7 +12,7 @@ from .hypergraph import MAX_IDS, MAX_UNIFORMITY, Hypergraph
 
 # Largest number of potential edges C(n, r) a generator enumerates.
 MAX_CANDIDATES = 10**8
-# Floats gen_random_uniform draws at once: bounds its memory by the kept edges.
+# Most gaps gen_random_uniform draws at once: bounds its memory by the kept edges.
 _DRAW = 1 << 16
 
 
@@ -57,8 +57,12 @@ def gen_random_uniform(r: int, n: int, p: float, seed: int) -> Hypergraph:
     """Each of the C(n, r) potential edges included independently with
     probability p; deterministic given the seed.
 
-    One float per potential edge, in lexicographic order, decides it; the
-    floats are drawn _DRAW at a time, which continues the one stream.  The
+    The lexicographic ranks of the kept edges are drawn directly: from one
+    kept rank to the next is a Geometric(p) gap (Batagelj and Brandes,
+    Phys. Rev. E 71, 036113, 2005), so the draws follow the kept count,
+    not C(n, r).  The gaps come in chunks of the expected remaining count
+    plus three standard deviations, at most _DRAW, which continue the one
+    stream, so a seed gives the same graph whatever the chunk size.  The
     vertex ids of the kept edges are capped, in expectation up front and
     as the kept count grows.
     """
@@ -69,10 +73,19 @@ def gen_random_uniform(r: int, n: int, p: float, seed: int) -> Hypergraph:
     rng = np.random.default_rng(seed)
     kept = [np.zeros(0, dtype=np.int64)]
     m = 0
-    for start in range(0, total, _DRAW):
-        kept.append(start + np.flatnonzero(rng.random(min(_DRAW, total - start)) < p))
+    last = -1  # the rank of the last kept edge, -1 before the first
+    while p > 0 and last < total - 1:
+        left = (total - 1 - last) * p
+        gaps = rng.geometric(p, min(_DRAW, int(left + 3 * math.sqrt(left)) + 16))
+        # a gap saturates at 2^63 - 1 for tiny p; one of C(n, r) + 1 already
+        # passes the last rank, and keeps the running sum far from overflow
+        ranks = last + np.cumsum(np.minimum(gaps, total + 1))
+        kept.append(ranks[ranks < total])
         m += len(kept[-1])
         _check_ids(r, m)
+        if len(kept[-1]) < len(ranks):
+            break
+        last = int(ranks[-1])
     return _subsets(r, n, np.concatenate(kept))
 
 

@@ -244,11 +244,21 @@ def ref_reduce_cut_up(h, assign, trials, seed):
 
 
 def ref_gen_random_uniform(r, n, p, seed):
-    """One float per r-subset of range(n), all drawn at once in lexicographic
-    order; the subsets whose float is below p are the edges."""
-    keep = np.random.default_rng(seed).random(math.comb(n, r)) < p
-    edges = itertools.compress(itertools.combinations(range(n), r), keep)
-    return Hypergraph.from_edges(r, n, edges)
+    """One scalar Geometric(p) gap per kept lexicographic rank, summed in
+    Python ints from rank -1 until a rank passes the last of the C(n, r)
+    r-subsets of range(n); the kept ranks are mapped to subsets by
+    itertools.combinations."""
+    rng = np.random.default_rng(seed)
+    total = math.comb(n, r)
+    ranks = set()
+    rank = -1
+    while p > 0:
+        rank += int(rng.geometric(p))
+        if rank >= total:
+            break
+        ranks.add(rank)
+    combos = itertools.combinations(range(n), r)
+    return Hypergraph.from_edges(r, n, (c for i, c in enumerate(combos) if i in ranks))
 
 
 def ref_format(h):

@@ -123,6 +123,39 @@ class TestOracle:
                 assert brute_force_max_kcut(h, k).surplus > 0
 
 
+class _CountingRng:
+    """A numpy Generator that counts every variate it hands out."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.drawn = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.drawn += np.size(out)
+            return out
+
+        return draw
+
+
+def _counted_gen_random_uniform(r, n, p, seed):
+    """(the graph, the variates drawn) of gen_random_uniform(r, n, p, seed)."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting(seed):
+        made.append(_CountingRng(default_rng(seed)))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", counting):
+        h = gen_random_uniform(r, n, p, seed)
+    assert len(made) == 1
+    return h, made[0].drawn
+
+
 class TestRandomUniform:
     def test_deterministic_given_seed(self):
         a = gen_random_uniform(3, 10, 0.4, 7)
@@ -133,9 +166,13 @@ class TestRandomUniform:
         draws = {gen_random_uniform(3, 10, 0.4, s).edges.tobytes() for s in range(5)}
         assert len(draws) > 1
 
+    @pytest.mark.filterwarnings("error")
     def test_edge_probability_extremes(self):
-        assert gen_random_uniform(3, 8, 0.0, 0).m == 0
-        assert gen_random_uniform(3, 8, 1.0, 0).m == math.comb(8, 3)
+        # p = 1 keeps every candidate; p = 0 draws nothing at all
+        for r, n in ((2, 7), (3, 8), (5, 8)):
+            assert gen_random_uniform(r, n, 1.0, 0) == gen_complete(r, n)
+            h, drawn = _counted_gen_random_uniform(r, n, 0.0, 0)
+            assert h.m == 0 and drawn == 0
 
     def test_rejects_bad_probability(self):
         with pytest.raises(InputError):
@@ -156,6 +193,41 @@ class TestRandomUniform:
             assert gen_random_uniform(3, 20, 0.5, at) == draws[at]
             with pytest.raises(CapacityError):
                 gen_random_uniform(3, 20, 0.51, at)  # refused up front
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-20])
+    def test_tiny_probability_keeps_nothing(self, p):
+        # numpy's geometric gaps saturate at 2^63 - 1 here; summed unclamped
+        # they wrap negative and keep bogus ranks
+        assert gen_random_uniform(3, 843, p, 0).m == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_single_candidate_is_empty_two_thirds_of_the_time(self):
+        # [DERIVED] C(3, 3) = 1 candidate kept with p = 1/3; a gap clamped to
+        # C(n, r) instead of C(n, r) + 1 would keep it on every draw
+        empty = sum(gen_random_uniform(3, 3, 1 / 3, s).m == 0 for s in range(3000))
+        assert abs(empty - 2000) <= 5 * math.sqrt(3000 * 2 / 9)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_each_candidate_is_a_bernoulli_draw(self, p):
+        # [DERIVED] over 3,000 seeds each of the C(6, 3) = 20 candidates is
+        # kept Binomial(3000, p) times; every count within 5 sigma
+        seeds = 3000
+        counts = np.zeros(math.comb(6, 3), dtype=np.int64)
+        index = {tuple(e): i for i, e in enumerate(gen_complete(3, 6).edges.tolist())}
+        for s in range(seeds):
+            for e in gen_random_uniform(3, 6, p, s).edges.tolist():
+                counts[index[tuple(e)]] += 1
+        sigma = math.sqrt(seeds * p * (1 - p))
+        assert np.abs(counts - seeds * p).max() <= 5 * sigma
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_draws_follow_the_kept_edges(self, seed):
+        # C(843, 3) ~ 9.95e7 candidates and m ~ 1,000: one variate per kept
+        # edge plus the chunk's slack, not one per candidate
+        h, drawn = _counted_gen_random_uniform(3, 843, 1e-5, seed)
+        assert 900 < h.m < 1100
+        assert drawn <= h.m + 4 * math.sqrt(h.m) + 64
 
     def test_mean_edge_count(self):
         # [DERIVED] m ~ Binomial(C(12,3), 1/12); the 200-seed sample mean

@@ -587,8 +587,18 @@ def test_gen_random_uniform_matches_one_draw_per_candidate(r, p):
 
 @pytest.mark.parametrize("p", [0.01, 0.5])
 def test_gen_random_uniform_draws_across_chunks(p):
-    assert math.comb(100, 3) > 2 * generators._DRAW  # three draws, the last partial
+    assert math.comb(100, 3) // 2 > generators._DRAW  # p = 1/2 keeps two chunks' ranks
     assert gen_random_uniform(3, 100, p, 7) == ref_gen_random_uniform(3, 100, p, 7)
+
+
+@pytest.mark.parametrize("r, n, p", [(3, 30, 0.05), (2, 40, 0.5), (4, 12, 0.9)])
+def test_gen_random_uniform_is_the_same_whatever_the_chunk(r, n, p):
+    for seed in range(3):
+        graphs = []
+        for draw in (1, 3, 1 << 16):
+            with mock.patch.object(generators, "_DRAW", draw):
+                graphs.append(gen_random_uniform(r, n, p, seed))
+        assert graphs[0] == graphs[1] == graphs[2] == ref_gen_random_uniform(r, n, p, seed)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])

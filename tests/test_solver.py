@@ -299,7 +299,16 @@ class TestKWayLocalSearch:
 
 class TestSolveKCut:
     def test_r3_k3_is_solve_3cut(self):
-        h = gen_random_3graph(9, 0.4, 17)
+        # a binomial 3-graph on 9 vertices, frozen as data so that the test
+        # keeps its instance whatever the generator's stream
+        h = Hypergraph.from_edges(3, 9, [
+            (0, 1, 3), (0, 1, 5), (0, 1, 6), (0, 1, 7), (0, 2, 5), (0, 2, 6),
+            (0, 2, 8), (0, 3, 6), (0, 4, 5), (0, 4, 6), (0, 4, 7), (0, 7, 8),
+            (1, 2, 3), (1, 2, 5), (1, 2, 8), (1, 3, 7), (1, 4, 8), (1, 5, 7),
+            (1, 5, 8), (1, 6, 7), (1, 6, 8), (2, 3, 8), (2, 4, 7), (2, 4, 8),
+            (2, 5, 6), (2, 5, 7), (2, 5, 8), (2, 6, 7), (2, 6, 8), (3, 5, 6),
+            (3, 5, 7), (4, 5, 8), (4, 7, 8), (5, 6, 7), (5, 6, 8), (5, 7, 8),
+        ])
         plan = SamplePlan(trials=6, seed=2)
         assert solve_kcut(h, 3, plan) == _solved(h, plan)
 
@@ -340,8 +349,16 @@ class TestSolveKCut:
     def test_baseline_only_all_in_one_part_regression(self):
         # the best random draw put every vertex in one part, where no single
         # move can cut an edge: cut 0, surplus -1100/81, before the
-        # conditional-expectation cut was offered
-        h = gen_random_uniform(5, 8, 0.3, 271)
+        # conditional-expectation cut was offered; the binomial 5-graph on 8
+        # vertices is frozen as data, so that the seeded draw stays the same
+        h = Hypergraph.from_edges(5, 8, [
+            (0, 1, 2, 3, 7), (0, 1, 2, 4, 5), (0, 1, 2, 5, 6), (0, 1, 2, 5, 7),
+            (0, 1, 3, 4, 7), (0, 1, 3, 5, 6), (0, 1, 4, 5, 7), (0, 1, 4, 6, 7),
+            (0, 2, 3, 5, 6), (0, 2, 3, 5, 7), (0, 2, 4, 5, 7), (0, 2, 4, 6, 7),
+            (0, 3, 4, 6, 7), (0, 3, 5, 6, 7), (1, 2, 3, 4, 5), (1, 2, 3, 5, 6),
+            (1, 2, 3, 6, 7), (1, 3, 4, 5, 6), (1, 3, 5, 6, 7), (2, 3, 4, 5, 6),
+            (2, 3, 5, 6, 7), (3, 4, 5, 6, 7),
+        ])
         cut = solve_kcut(h, 3, SamplePlan(trials=1, seed=271))
         assert cut.surplus >= 0
         assert cut.cut_value == brute_force_max_kcut(h, 3).cut_value == 22
