@@ -170,14 +170,24 @@ class Hypergraph:
 
     @functools.cached_property
     def incidence(self) -> list[np.ndarray]:
-        """incidence[v]: ascending indices of the edges that contain v.
+        """incidence[v]: the ascending flat positions e * r + s of v in
+        ``edges.ravel()``, one per edge e that contains v, whose slot s holds
+        v: v's edges are incidence[v] // r and its slots incidence[v] % r.
 
         One stable argsort of the ids, cast to the smallest unsigned type
         that holds n - 1: numpy radix-sorts ids of at most 16 bits."""
         ids = self.edges.ravel().astype(np.min_scalar_type(self.n - 1))
-        by_vertex = np.argsort(ids, kind="stable") // self.r
+        by_vertex = np.argsort(ids, kind="stable")
         ends = np.cumsum(np.bincount(self.edges.ravel(), minlength=self.n))
         return np.split(by_vertex, ends)[:-1]  # n pieces, none at n = 0
+
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """``edges.T`` as a read-only C-contiguous (r, d) array: row s holds
+        every edge's vertex in slot s, so a gather by slot reads contiguous ids."""
+        cols = np.ascontiguousarray(self.edges.T)
+        cols.setflags(write=False)
+        return cols
 
 
 def _max_merged(rows: np.ndarray, mult: np.ndarray) -> int:
@@ -230,11 +240,12 @@ def chunk_rows(width: int) -> int:
 
 
 def part_masks(bits: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """OR of bits[..., c] over the r columns c of each (d, r) row of ``cols``:
-    per edge, the set of parts its vertices meet, from one-hot part bits."""
-    seen = bits[..., cols[:, 0]]
-    for col in cols.T[1:]:
-        seen |= bits[..., col]
+    """OR over the r slot rows of the (r, d) ``cols`` (``Hypergraph.columns``)
+    of bits[..., row]: per edge, the set of parts its vertices meet, from
+    one-hot part bits, one contiguous row of vertex ids gathered at a time."""
+    seen = np.take(bits, cols[0], axis=-1)
+    for row in cols[1:]:
+        seen |= np.take(bits, row, axis=-1)
     return seen
 
 
@@ -256,7 +267,7 @@ def cut_values(h: Hypergraph, assign: np.ndarray, k: int) -> np.ndarray:
         parts = np.sort(assign[..., h.edges], axis=-1)
         return cut_counts(h, (parts[..., 1:] != parts[..., :-1]).sum(axis=-1), k - 1)
     bits = np.left_shift(1, assign).astype(np.uint8 if k <= 8 else np.int64)
-    return cut_counts(h, part_masks(bits, h.edges), (1 << k) - 1)
+    return cut_counts(h, part_masks(bits, h.columns), (1 << k) - 1)
 
 
 def part_ids(h: Hypergraph, assignment: Sequence[int], k: int) -> np.ndarray:

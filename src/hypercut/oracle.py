@@ -24,7 +24,7 @@ def _masks(h: Hypergraph, rows: np.ndarray, first: int) -> np.ndarray:
     first + 1, ...: per edge of h.edges, the parts those vertices meet."""
     bits = np.zeros((len(rows), h.n), dtype=np.uint8)
     bits[:, first:first + rows.shape[1]] = np.left_shift(1, rows)
-    return part_masks(bits, h.edges)
+    return part_masks(bits, h.columns)
 
 
 def brute_force_max_kcut(h: Hypergraph, k: int) -> KCut:

@@ -50,6 +50,9 @@ SAMPLE_P = 1.0 / 3.0  # probability that a vertex joins the sampled set X
 # numpy 2.4 and one BLAS thread.  A pair graph of more than about 240
 # vertices reaches it alone, and is searched alone.
 _LOCKSTEP_CELLS = 1 << 15
+# Largest k^r * r for which k-way search keeps one part-pattern code per
+# edge and looks its terms up in one (k^r, r) table; past it, part counts.
+_PATTERN_CELLS = 1 << 16
 _BASELINE_NOTE = "baseline-only: k outside the guaranteed range {r-1, r}"
 
 
@@ -95,7 +98,6 @@ class _CutEvaluator:
     def __init__(self, h: Hypergraph, k: int) -> None:
         self.h = h
         self.k = k
-        self.inc = h.incidence
 
     def value(self, assign: np.ndarray) -> np.ndarray:
         """Cut size of an (n,) assignment, or of each row of a (c, n) stack."""
@@ -157,8 +159,8 @@ class _CutEvaluator:
         met = np.zeros((k, len(h.mult)), dtype=bool)  # part x edge: a placed vertex in it
         free = np.full(len(h.mult), h.r)  # edge x unplaced vertices
         assign = np.zeros(h.n, dtype=np.intp)
-        for v in range(h.n):
-            edges = self.inc[v]
+        for v, at in enumerate(h.incidence):
+            edges = at // h.r
             f = np.take(free, edges) - 1
             free[edges] = f
             hit = np.take(met, edges, axis=1)
@@ -184,51 +186,93 @@ class _CutEvaluator:
 
         Moving v to part b gains win[v, b] - loss[v]: loss[v] weighs the cut
         edges in which v is alone in its part, win[v, b] the edges that miss
-        only part b and in which v is not alone.  One (k+1, n) gain table
-        holds win in rows 0..k-1 and loss in row k; one more cell, a sink
-        that is never read, follows it.  Each (slot, edge) caches the table
-        cell its term sits in, the sink for a dead term (``_slot_terms``), so
-        the table is the weight sum of every term's cell.  A move changes the
-        part counts of v's edges only: their cached old terms are subtracted
-        and their new terms added, cell by cell, so a move costs
-        O(r * deg v) beside the O(nk) search for the next movable vertex.
-        The table is int64: an entry sums weights of one vertex's edges, at
-        most m <= 2^53, so it is exact, and the sink sums at most r * m <=
-        1000 * 2^53 < 2^63, so it never wraps.  Cells are int32: (k+1)n + 1
-        stays below 2^31 within solve_kcut's capacity (n <= 10^4, k <= 1000).
+        only part b and in which v is not alone.  One (k+2, n) gain table
+        holds win in rows 0..k-1, loss in row k and dead terms in row k+1,
+        which is never read.  Each (edge, slot) caches the table cell its
+        term sits in, and a move re-places the terms of v's edges only, so
+        it costs O(r * deg v) beside the O(nk) search for the next movable
+        vertex.  Each edge keeps its part-pattern code where k^r * r <=
+        _PATTERN_CELLS (``_pattern_moves``), its part counts past it
+        (``_count_moves``).  The int64 table is exact: each cell sums
+        weights of one vertex's edges, at most m <= 2^53.
         """
         a = np.array(assign, dtype=np.intp)
         h, k = self.h, self.k
-        d = len(h.mult)
-        if d == 0 or k > h.r:
+        if len(h.mult) == 0 or k > h.r:
             return a
-        verts = np.ascontiguousarray(h.edges.T)  # slot x edge
-        parts = np.take(a, verts)
-        counts = np.bincount((parts * d + np.arange(d)).ravel(), minlength=k * d).reshape(k, d)
-        cells = _slot_terms(verts, parts, counts, h.n).ravel()
-        table = np.zeros((k + 1) * h.n + 1, dtype=np.int64)
-        np.add.at(table, cells, np.tile(h.mult, h.r))
-        gains, span = table[:-1].reshape(k + 1, h.n), np.arange(h.r)[:, None] * d
-        cursor = 0
+        table = np.zeros((k + 2) * h.n, dtype=np.int64)
+        moves = _pattern_moves if k**h.r * h.r <= _PATTERN_CELLS else _count_moves
+        move, gains, cursor = moves(h, k, a, table), table.reshape(k + 2, h.n), 0
         while True:
             movable = np.flatnonzero(gains[:k].max(axis=0) > gains[k])
             if len(movable) == 0:
                 return a
             v = movable[np.searchsorted(movable, cursor) % len(movable)]
-            b = int(np.argmax(gains[:k, v] > gains[k, v]))
-            edges = self.inc[v]
-            slots = span + edges  # flat (slot, edge) positions of v's edges
-            counts[a[v], edges] -= 1
-            counts[b, edges] += 1
-            a[v] = b
-            rows = np.take(verts, slots)
-            old = np.take(cells, slots)
-            new = _slot_terms(rows, np.take(a, rows), np.take(counts, edges, axis=1), h.n)
-            w = np.tile(np.take(h.mult, edges), h.r)
-            # 1-D indices: ufunc.at has a fast path for them
-            np.add.at(table, np.concatenate([old.ravel(), new.ravel()]), np.concatenate([-w, w]))
-            cells[slots] = new
+            move(v, int(np.argmax(gains[:k, v] > gains[k, v])))
             cursor = v + 1
+
+
+@functools.cache
+def _pattern_rows(k: int, r: int) -> np.ndarray:
+    """The read-only (k^r, r) gain-table row (``_slot_terms``'s rule) of each
+    slot's term in an edge whose part-pattern code is sum_s part(slot s) * k^s."""
+    parts = np.arange(k**r) // k ** np.arange(r)[:, None] % k  # slot x code
+    counts = (parts == np.arange(k)[:, None, None]).sum(axis=1)
+    # with n = 1 and every vertex 0, a term's cell is its row
+    rows = np.ascontiguousarray(_slot_terms(np.zeros_like(parts), parts, counts, 1).T)
+    rows.setflags(write=False)
+    return rows
+
+
+def _pattern_moves(h: Hypergraph, k: int, a: np.ndarray, table: np.ndarray):
+    """Add the terms of ``a`` to the flat gain table, and return the move
+    (v, b) that puts v in part b, in ``a`` and in the table.  A move adds
+    (b - a[v]) * k^s to the code of each of v's edges, s being v's slot in
+    it, and looks the r new rows of each up in ``_pattern_rows``."""
+    place, inc = k ** np.arange(h.r), h.incidence
+    cell_rows = _pattern_rows(k, h.r) * h.n
+    code = np.take(a, h.edges) @ place
+    cells = np.take(cell_rows, code, axis=0) + h.edges  # edge x slot
+    np.add.at(table, cells.ravel(), np.repeat(h.mult, h.r))
+
+    def move(v: int, b: int) -> None:
+        edges, slots = np.divmod(inc[v], h.r)
+        code[edges] += (b - a[v]) * np.take(place, slots)
+        a[v] = b
+        old = np.take(cells, edges, axis=0)
+        new = np.take(cell_rows, np.take(code, edges), axis=0) + np.take(h.edges, edges, axis=0)
+        w = np.repeat(np.take(h.mult, edges), h.r)
+        # 1-D indices: ufunc.at has a fast path for them
+        np.add.at(table, np.concatenate([old.ravel(), new.ravel()]), np.concatenate([-w, w]))
+        cells[edges] = new
+
+    return move
+
+
+def _count_moves(h: Hypergraph, k: int, a: np.ndarray, table: np.ndarray):
+    """``_pattern_moves`` for any k and r: each edge keeps its (k, d) part
+    counts, and ``_slot_terms`` places its r terms."""
+    verts, d, inc = h.columns, len(h.mult), h.incidence  # slot x edge
+    parts = np.take(a, verts)
+    counts = np.bincount((parts * d + np.arange(d)).ravel(), minlength=k * d).reshape(k, d)
+    cells = _slot_terms(verts, parts, counts, h.n).ravel()
+    np.add.at(table, cells, np.tile(h.mult, h.r))
+    span = np.arange(h.r)[:, None] * d
+
+    def move(v: int, b: int) -> None:
+        edges = inc[v] // h.r
+        slots = span + edges  # flat (slot, edge) positions of v's edges
+        counts[a[v], edges] -= 1
+        counts[b, edges] += 1
+        a[v] = b
+        rows = np.take(verts, slots)
+        old = np.take(cells, slots)
+        new = _slot_terms(rows, np.take(a, rows), np.take(counts, edges, axis=1), h.n)
+        w = np.tile(np.take(h.mult, edges), h.r)
+        np.add.at(table, np.concatenate([old.ravel(), new.ravel()]), np.concatenate([-w, w]))
+        cells[slots] = new
+
+    return move
 
 
 def _slot_terms(rows: np.ndarray, parts: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
@@ -236,20 +280,18 @@ def _slot_terms(rows: np.ndarray, parts: np.ndarray, c: np.ndarray, n: int) -> n
     the (r, e) vertex ids ``rows``, with parts ``parts`` and (k, e) part
     counts ``c``.  A vertex alone in its part has a loss term, row k, live
     when the edge is cut.  Any other has a win term in the edge's missing
-    part, live when exactly one part is missing.  A dead term's cell is the
-    sink, (k+1) * n.  Each choice is arithmetic on 0/1 masks: a select on a
-    data-dependent mask branches per cell and costs several times as much."""
+    part, live when exactly one part is missing.  A dead term sits in row
+    k + 1.  Cells fit int32: (k+2) * n < 2^31 within solve_kcut's capacity
+    (n <= 10^4, k <= 1000).  Each choice is arithmetic on 0/1 masks: a select
+    on a data-dependent mask branches per cell and costs several times as much."""
     k, e = c.shape
     alone = np.take(c, parts * e + np.arange(e)) == 1
     missed = c == 0
     # the one missing part, where only one is: the sum of missing part ids
     one = np.arange(k) @ missed
     live = missed.sum(axis=0) == 1 - alone  # none missing if alone, else one
-    sink = (k + 1) * n
-    cell = (one + alone * (k - one)) * n + rows - sink
-    cell *= live
-    cell += sink
-    return cell.astype(np.int32)
+    row = (one + alone * (k - one) - (k + 1)) * live + (k + 1)
+    return (row * n + rows).astype(np.int32)
 
 
 def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:

@@ -7,6 +7,7 @@ import os
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -591,7 +592,7 @@ def test_one_process_runs_calls_as_it_runs_each_alone(tmp_path, capsys, monkeypa
         except SystemExit as exc:  # argparse exits on a bad argument
             code = exc.code
         out = capsys.readouterr()
-        text = open(written).read() if written else None
+        text = Path(written).read_text() if written else None
         if written and written.endswith(".json"):
             text = {**json.loads(text), "wall_time_s": 0}
         return code, out.out, out.err, text

@@ -4,7 +4,7 @@ multiplicities 1-3), the chunked best-cut pick against a min over tuples,
 the lift against one draw per trial, the lockstep 1-flip search against one
 sweep loop per start and, over groups of matrices, against each group
 alone, the batched 3-cut trials against one trial at a time, the k-way
-search's term cells against a per-term rule, the k-way search and the
+search's term cells and pattern table against a per-term rule, the k-way search and the
 conditional-expectation cut also on seeded graphs of 20-30 vertices and
 100-300 edges, the latter
 against enumeration of completions and exact per-edge cut chances, the
@@ -179,14 +179,19 @@ def test_merge_matches_reference_at_the_count_bound(w, b, d, counted, case, seed
 def test_incidence_matches_a_scan_of_the_edges(n):
     """On each side of the 8- and 16-bit id types, with the ids 254, 255,
     256 (where it is one) and n - 1 in edges, and on n = 0 and 1, which
-    hold no edge: one row per vertex, none at n = 0."""
+    hold no edge: one row per vertex, none at n = 0, each holding v's edges
+    and its slot in each.  The slot-major columns are edges.T, read-only."""
     rng = np.random.default_rng(n)
     rows = [rng.choice(n, size=3, replace=False) for _ in range(200 * (n >= 3))]
     rows += [(0, 254, 255), (1, 2, n - 1)] * (n >= 256) + [(3, 255, 256)] * (n > 256)
     h = Hypergraph(3, n, rows, np.ones(len(rows), dtype=np.int64))
     assert len(h.incidence) == n
     for v, found in enumerate(h.incidence):
-        assert found.tolist() == np.flatnonzero((h.edges == v).any(axis=1)).tolist()
+        edges, slots = np.divmod(found, 3)
+        assert edges.tolist() == np.flatnonzero((h.edges == v).any(axis=1)).tolist()
+        assert (h.edges[edges, slots] == v).all()
+    assert h.columns.shape == (3, len(h.mult)) and h.columns.flags.c_contiguous
+    assert np.array_equal(h.columns, h.edges.T) and not h.columns.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,24 +305,38 @@ def seeded_graph(seed, r):
     return Hypergraph(r, n, rows, rng.integers(1, 4, size=len(rows)))
 
 
-@pytest.mark.parametrize("r, k", [(r, k) for r in (3, 4, 5) for k in range(2, r + 1)])
+@pytest.mark.parametrize("r, k", [(r, k) for r in (3, 4, 5) for k in range(2, r + 1)]
+                         + [(7, 4), (7, 7)])
 def test_kway_local_search_matches_reference_on_larger_graphs(r, k):
     """Half the vertices start in part 0, so that every case, k = 2 on
-    5-graphs included, makes 8-34 moves."""
+    5-graphs included, makes 8-34 moves.  On 7-graphs at k = 4 and 7,
+    k^r * r is past the pattern table's bound, and part counts place the
+    terms."""
     h = seeded_graph(100 * r + k, r)
     rng = np.random.default_rng(k)
     start = np.where(rng.random(h.n) < 0.5, 0, rng.integers(0, k, size=h.n)).tolist()
-    found = _CutEvaluator(h, k).local_search(start).tolist()
+    with mock.patch.object(solver, "_count_moves", wraps=solver._count_moves) as counted:
+        found = _CutEvaluator(h, k).local_search(start).tolist()
+    assert counted.called == (r == 7)
     assert found == ref_local_search(as_items(h), h.n, start, k)
     assert cut_size(h, found, k) > cut_size(h, start, k)
 
 
+def term_row(parts, j, k):
+    """The gain-table row of slot j's term in an edge with parts ``parts``:
+    the loss row k where its vertex is alone in its part and the edge is
+    cut, the win row b where it is not alone and b is the edge's one
+    missing part, and the dead row k + 1 otherwise."""
+    missing = [b for b in range(k) if b not in parts]
+    if parts.count(parts[j]) == 1:
+        return k if not missing else k + 1
+    return missing[0] if len(missing) == 1 else k + 1
+
+
 @pytest.mark.parametrize("r, k", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 5), (5, 6)])
 def test_slot_terms_follow_the_per_term_rule(r, k):
-    """Each (slot, edge) cell is the loss row k where its vertex is alone in
-    its part and the edge is cut, the win row b where the vertex is not
-    alone and b is the edge's one missing part, and the sink (k+1) * n
-    otherwise, on edges that miss 0, 1 and 2 parts (1 and 2 at k = r + 1)."""
+    """Each (slot, edge) cell is row * n + vertex, its row by ``term_row``,
+    on edges that miss 0, 1 and 2 parts (1 and 2 at k = r + 1)."""
     rng = np.random.default_rng(10 * r + k)
     n, e = 12, 80
     rows = np.array([rng.choice(n, size=r, replace=False) for _ in range(e)]).T
@@ -330,15 +349,25 @@ def test_slot_terms_follow_the_per_term_rule(r, k):
     assert cells.dtype == np.int32 and cells.shape == (r, e)
     seen = set()
     for i, col in enumerate(parts.T.tolist()):
-        missing = [b for b in range(k) if b not in col]
-        seen.add(len(missing))
-        for j, p in enumerate(col):
-            if col.count(p) == 1:
-                row = k if not missing else None
-            else:
-                row = missing[0] if len(missing) == 1 else None
-            assert cells[j, i] == ((k + 1) * n if row is None else row * n + rows[j, i])
+        seen.add(k - len(set(col)))
+        for j in range(r):
+            assert cells[j, i] == term_row(col, j, k) * n + rows[j, i]
     assert seen == set(missing_counts)
+
+
+PATTERN_CASES = [(r, k) for r in range(2, 13) for k in range(2, r + 2)
+                 if k**r * r <= solver._PATTERN_CELLS]
+
+
+@pytest.mark.parametrize("r, k", PATTERN_CASES)
+def test_pattern_rows_follow_the_per_term_rule(r, k):
+    """Every part pattern of every (r, k) within the table's bound, k = r + 1
+    included: the row of each slot of its code is ``term_row``'s."""
+    table = solver._pattern_rows(k, r)
+    assert table.shape == (k**r, r) and not table.flags.writeable
+    for parts in itertools.product(range(k), repeat=r):
+        code = sum(p * k**s for s, p in enumerate(parts))
+        assert table[code].tolist() == [term_row(parts, j, k) for j in range(r)]
 
 
 # m with k^(r-1) * m < 2^63 at r = 6, k = 5: the largest, whose scores fit
