@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,10 @@ RECORD_COLUMNS = tuple(f.name for f in dataclasses.fields(ExperimentRecord))
 
 
 def _check_reps(reps: int) -> None:
+    try:
+        operator.index(reps)
+    except TypeError as exc:
+        raise InputError(f"reps must be an integer: {exc}") from None
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}")
     if reps > MAX_REPS:

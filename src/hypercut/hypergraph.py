@@ -170,14 +170,12 @@ class Hypergraph:
 
     @functools.cached_property
     def incidence(self) -> list[np.ndarray]:
-        """incidence[v]: the ascending flat positions e * r + s of v in
-        ``edges.ravel()``, one per edge e that contains v, whose slot s holds
-        v: v's edges are incidence[v] // r and its slots incidence[v] % r.
-
-        One stable argsort of the ids, cast to the smallest unsigned type
-        that holds n - 1: numpy radix-sorts ids of at most 16 bits."""
+        """incidence[v]: the ascending ids of the edges that contain v, from
+        one stable argsort of the ids (whose flat positions e * r + s divide
+        by r to edge ids), cast to the smallest unsigned type that holds
+        n - 1: numpy radix-sorts ids of at most 16 bits."""
         ids = self.edges.ravel().astype(np.min_scalar_type(self.n - 1))
-        by_vertex = np.argsort(ids, kind="stable")
+        by_vertex = np.argsort(ids, kind="stable") // self.r
         ends = np.cumsum(np.bincount(self.edges.ravel(), minlength=self.n))
         return np.split(by_vertex, ends)[:-1]  # n pieces, none at n = 0
 

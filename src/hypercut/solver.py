@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -50,8 +51,8 @@ SAMPLE_P = 1.0 / 3.0  # probability that a vertex joins the sampled set X
 # numpy 2.4 and one BLAS thread.  A pair graph of more than about 240
 # vertices reaches it alone, and is searched alone.
 _LOCKSTEP_CELLS = 1 << 15
-# Largest k^r * r for which k-way search keeps one part-pattern code per
-# edge and looks its terms up in one (k^r, r) table; past it, part counts.
+# Largest k^r * r for which k-way search places an edge's terms by looking
+# its part-pattern code up in one (k^r, r) table; past it, by part counts.
 _PATTERN_CELLS = 1 << 16
 _BASELINE_NOTE = "baseline-only: k outside the guaranteed range {r-1, r}"
 
@@ -62,6 +63,10 @@ class SamplePlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        try:  # a float passes the range checks and fails inside SeedSequence
+            operator.index(self.trials), operator.index(self.seed)
+        except TypeError as exc:
+            raise InputError(f"trials and seed must be integers: {exc}") from None
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
@@ -159,8 +164,7 @@ class _CutEvaluator:
         met = np.zeros((k, len(h.mult)), dtype=bool)  # part x edge: a placed vertex in it
         free = np.full(len(h.mult), h.r)  # edge x unplaced vertices
         assign = np.zeros(h.n, dtype=np.intp)
-        for v, at in enumerate(h.incidence):
-            edges = at // h.r
+        for v, edges in enumerate(h.incidence):
             f = np.take(free, edges) - 1
             free[edges] = f
             hit = np.take(met, edges, axis=1)
@@ -188,110 +192,77 @@ class _CutEvaluator:
         edges in which v is alone in its part, win[v, b] the edges that miss
         only part b and in which v is not alone.  One (k+2, n) gain table
         holds win in rows 0..k-1, loss in row k and dead terms in row k+1,
-        which is never read.  Each (edge, slot) caches the table cell its
-        term sits in, and a move re-places the terms of v's edges only, so
-        it costs O(r * deg v) beside the O(nk) search for the next movable
-        vertex.  Each edge keeps its part-pattern code where k^r * r <=
-        _PATTERN_CELLS (``_pattern_moves``), its part counts past it
-        (``_count_moves``).  The int64 table is exact: each cell sums
-        weights of one vertex's edges, at most m <= 2^53.
-        """
+        which is never read.  A (d, r) cache holds each (edge, slot)'s cell.
+        A move puts v in its part and moves the weights of v's edges from
+        their cached cells to the ones ``_term_cells`` places them in now: it
+        costs O(r * deg v) beside the O(nk) search for the next movable
+        vertex.  The int64 table is exact: each cell sums weights of one
+        vertex's edges, at most m <= 2^53."""
         a = np.array(assign, dtype=np.intp)
         h, k = self.h, self.k
         if len(h.mult) == 0 or k > h.r:
             return a
+        term_cells = _term_cells(h, k, a)
+        cells = term_cells(h.edges)  # edge x slot
         table = np.zeros((k + 2) * h.n, dtype=np.int64)
-        moves = _pattern_moves if k**h.r * h.r <= _PATTERN_CELLS else _count_moves
-        move, gains, cursor = moves(h, k, a, table), table.reshape(k + 2, h.n), 0
+        np.add.at(table, cells.ravel(), np.repeat(h.mult, h.r))
+        gains, cursor = table.reshape(k + 2, h.n), 0
         while True:
             movable = np.flatnonzero(gains[:k].max(axis=0) > gains[k])
             if len(movable) == 0:
                 return a
             v = movable[np.searchsorted(movable, cursor) % len(movable)]
-            move(v, int(np.argmax(gains[:k, v] > gains[k, v])))
+            a[v] = np.argmax(gains[:k, v] > gains[k, v])
+            edges = h.incidence[v]
+            new = term_cells(np.take(h.edges, edges, axis=0))
+            w = np.repeat(np.take(h.mult, edges), h.r)
+            old = np.take(cells, edges, axis=0)
+            # 1-D indices: ufunc.at has a fast path for them
+            np.add.at(table, np.concatenate([old.ravel(), new.ravel()]), np.concatenate([-w, w]))
+            cells[edges] = new
             cursor = v + 1
+
+
+def _term_cells(h: Hypergraph, k: int, a: np.ndarray):
+    """The map from (e, r) vertex rows of h's edges to their terms' cells
+    under ``a`` as it stands: while k^r * r <= _PATTERN_CELLS, each row's
+    part-pattern code sum_s part(slot s) * k^s looks its r rows up in
+    ``_pattern_rows``; past it, ``_slot_terms`` counts each row's parts."""
+    if k**h.r * h.r > _PATTERN_CELLS:
+        return lambda verts: _slot_terms(verts, np.take(a, verts), k, h.n)
+    place, cell_rows = k ** np.arange(h.r), _pattern_rows(k, h.r) * h.n
+    return lambda verts: np.take(cell_rows, np.take(a, verts) @ place, axis=0) + verts
 
 
 @functools.cache
 def _pattern_rows(k: int, r: int) -> np.ndarray:
     """The read-only (k^r, r) gain-table row (``_slot_terms``'s rule) of each
     slot's term in an edge whose part-pattern code is sum_s part(slot s) * k^s."""
-    parts = np.arange(k**r) // k ** np.arange(r)[:, None] % k  # slot x code
-    counts = (parts == np.arange(k)[:, None, None]).sum(axis=1)
+    parts = np.arange(k**r)[:, None] // k ** np.arange(r) % k  # code x slot
     # with n = 1 and every vertex 0, a term's cell is its row
-    rows = np.ascontiguousarray(_slot_terms(np.zeros_like(parts), parts, counts, 1).T)
+    rows = _slot_terms(np.zeros_like(parts), parts, k, 1)
     rows.setflags(write=False)
     return rows
 
 
-def _pattern_moves(h: Hypergraph, k: int, a: np.ndarray, table: np.ndarray):
-    """Add the terms of ``a`` to the flat gain table, and return the move
-    (v, b) that puts v in part b, in ``a`` and in the table.  A move adds
-    (b - a[v]) * k^s to the code of each of v's edges, s being v's slot in
-    it, and looks the r new rows of each up in ``_pattern_rows``."""
-    place, inc = k ** np.arange(h.r), h.incidence
-    cell_rows = _pattern_rows(k, h.r) * h.n
-    code = np.take(a, h.edges) @ place
-    cells = np.take(cell_rows, code, axis=0) + h.edges  # edge x slot
-    np.add.at(table, cells.ravel(), np.repeat(h.mult, h.r))
-
-    def move(v: int, b: int) -> None:
-        edges, slots = np.divmod(inc[v], h.r)
-        code[edges] += (b - a[v]) * np.take(place, slots)
-        a[v] = b
-        old = np.take(cells, edges, axis=0)
-        new = np.take(cell_rows, np.take(code, edges), axis=0) + np.take(h.edges, edges, axis=0)
-        w = np.repeat(np.take(h.mult, edges), h.r)
-        # 1-D indices: ufunc.at has a fast path for them
-        np.add.at(table, np.concatenate([old.ravel(), new.ravel()]), np.concatenate([-w, w]))
-        cells[edges] = new
-
-    return move
-
-
-def _count_moves(h: Hypergraph, k: int, a: np.ndarray, table: np.ndarray):
-    """``_pattern_moves`` for any k and r: each edge keeps its (k, d) part
-    counts, and ``_slot_terms`` places its r terms."""
-    verts, d, inc = h.columns, len(h.mult), h.incidence  # slot x edge
-    parts = np.take(a, verts)
-    counts = np.bincount((parts * d + np.arange(d)).ravel(), minlength=k * d).reshape(k, d)
-    cells = _slot_terms(verts, parts, counts, h.n).ravel()
-    np.add.at(table, cells, np.tile(h.mult, h.r))
-    span = np.arange(h.r)[:, None] * d
-
-    def move(v: int, b: int) -> None:
-        edges = inc[v] // h.r
-        slots = span + edges  # flat (slot, edge) positions of v's edges
-        counts[a[v], edges] -= 1
-        counts[b, edges] += 1
-        a[v] = b
-        rows = np.take(verts, slots)
-        old = np.take(cells, slots)
-        new = _slot_terms(rows, np.take(a, rows), np.take(counts, edges, axis=1), h.n)
-        w = np.tile(np.take(h.mult, edges), h.r)
-        np.add.at(table, np.concatenate([old.ravel(), new.ravel()]), np.concatenate([-w, w]))
-        cells[slots] = new
-
-    return move
-
-
-def _slot_terms(rows: np.ndarray, parts: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
-    """The int32 gain-table cell (row * n + vertex) of each (slot, edge) of
-    the (r, e) vertex ids ``rows``, with parts ``parts`` and (k, e) part
-    counts ``c``.  A vertex alone in its part has a loss term, row k, live
-    when the edge is cut.  Any other has a win term in the edge's missing
-    part, live when exactly one part is missing.  A dead term sits in row
-    k + 1.  Cells fit int32: (k+2) * n < 2^31 within solve_kcut's capacity
-    (n <= 10^4, k <= 1000).  Each choice is arithmetic on 0/1 masks: a select
-    on a data-dependent mask branches per cell and costs several times as much."""
-    k, e = c.shape
-    alone = np.take(c, parts * e + np.arange(e)) == 1
+def _slot_terms(verts: np.ndarray, parts: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The int32 gain-table cell (row * n + vertex) of each (edge, slot) of
+    the (e, r) vertex ids ``verts`` with parts ``parts``.  A vertex alone in
+    its part has a loss term, row k, live when the edge is cut.  Any other
+    has a win term in the edge's missing part, live when exactly one part is
+    missing.  A dead term sits in row k + 1.  Cells fit int32: (k+2) * n <
+    2^31 within solve_kcut's capacity (n <= 10^4, k <= 1000).  Each choice is
+    arithmetic on 0/1 masks: a select on a data-dependent mask branches per
+    cell and costs several times as much."""
+    at = parts + k * np.arange(len(verts))[:, None]  # flat (edge, part) of each term
+    c = np.bincount(at.ravel(), minlength=k * len(verts)).reshape(-1, k)
+    alone = np.take(c, at) == 1
     missed = c == 0
     # the one missing part, where only one is: the sum of missing part ids
-    one = np.arange(k) @ missed
-    live = missed.sum(axis=0) == 1 - alone  # none missing if alone, else one
+    one = (missed @ np.arange(k))[:, None]
+    live = missed.sum(axis=1, keepdims=True) == 1 - alone  # none missing if alone, else one
     row = (one + alone * (k - one) - (k + 1)) * live + (k + 1)
-    return (row * n + rows).astype(np.int32)
+    return (row * n + verts).astype(np.int32)
 
 
 def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:

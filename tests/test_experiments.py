@@ -115,6 +115,8 @@ class TestColoredSampling:
             colored_sampling_experiment(h, 1.5, reps=1, seed=0)
         with pytest.raises(InputError):
             colored_sampling_experiment(h, 0.3, reps=0, seed=0)
+        with pytest.raises(InputError):
+            colored_sampling_experiment(h, 0.5, reps=2.5, seed=0)
 
     def test_csv_shape(self):
         recs = colored_sampling_experiment(_graph(), 0.3, reps=5, seed=2)
@@ -151,7 +153,8 @@ class TestScalingStudy:
         b = surplus_scaling_study([14], reps=2, seed=9, trials=4)
         assert a == b
 
-    @pytest.mark.parametrize("sizes, reps", [([], 1), ([0], 1), ([12, -5], 1), ([12], 0)])
+    @pytest.mark.parametrize("sizes, reps", [([], 1), ([0], 1), ([12, -5], 1), ([12], 0),
+                                             ([12], 1.5)])
     def test_rejects_bad_parameters(self, sizes, reps):
         with pytest.raises(InputError):
             surplus_scaling_study(sizes, reps=reps, seed=0, trials=2)

@@ -179,17 +179,15 @@ def test_merge_matches_reference_at_the_count_bound(w, b, d, counted, case, seed
 def test_incidence_matches_a_scan_of_the_edges(n):
     """On each side of the 8- and 16-bit id types, with the ids 254, 255,
     256 (where it is one) and n - 1 in edges, and on n = 0 and 1, which
-    hold no edge: one row per vertex, none at n = 0, each holding v's edges
-    and its slot in each.  The slot-major columns are edges.T, read-only."""
+    hold no edge: one row per vertex, none at n = 0, each holding the ids
+    of v's edges, ascending.  The slot-major columns are edges.T, read-only."""
     rng = np.random.default_rng(n)
     rows = [rng.choice(n, size=3, replace=False) for _ in range(200 * (n >= 3))]
     rows += [(0, 254, 255), (1, 2, n - 1)] * (n >= 256) + [(3, 255, 256)] * (n > 256)
     h = Hypergraph(3, n, rows, np.ones(len(rows), dtype=np.int64))
     assert len(h.incidence) == n
-    for v, found in enumerate(h.incidence):
-        edges, slots = np.divmod(found, 3)
+    for v, edges in enumerate(h.incidence):
         assert edges.tolist() == np.flatnonzero((h.edges == v).any(axis=1)).tolist()
-        assert (h.edges[edges, slots] == v).all()
     assert h.columns.shape == (3, len(h.mult)) and h.columns.flags.c_contiguous
     assert np.array_equal(h.columns, h.edges.T) and not h.columns.flags.writeable
 
@@ -306,18 +304,26 @@ def seeded_graph(seed, r):
 
 
 @pytest.mark.parametrize("r, k", [(r, k) for r in (3, 4, 5) for k in range(2, r + 1)]
-                         + [(7, 4), (7, 7)])
+                         + [(7, 4), (7, 7), (13, 2), (13, 12), (13, 13)])
 def test_kway_local_search_matches_reference_on_larger_graphs(r, k):
-    """Half the vertices start in part 0, so that every case, k = 2 on
-    5-graphs included, makes 8-34 moves.  On 7-graphs at k = 4 and 7,
-    k^r * r is past the pattern table's bound, and part counts place the
-    terms."""
+    """Half the vertices start in part 0, so that every case up to r = 7,
+    k = 2 on 5-graphs included, makes 8-34 moves.  At k >= 12 that start
+    leaves every edge two or more parts short, where no move gains, so the
+    vertices start spread evenly over the parts.  13-graphs make 1-10 moves.
+    On 7-graphs at k = 4 and 7, and on 13-graphs at every k, k^r * r is past
+    the pattern table's bound, and ``_slot_terms`` counts each edge's parts."""
     h = seeded_graph(100 * r + k, r)
     rng = np.random.default_rng(k)
-    start = np.where(rng.random(h.n) < 0.5, 0, rng.integers(0, k, size=h.n)).tolist()
-    with mock.patch.object(solver, "_count_moves", wraps=solver._count_moves) as counted:
+    if k < 12:
+        start = np.where(rng.random(h.n) < 0.5, 0, rng.integers(0, k, size=h.n)).tolist()
+    else:
+        start = (rng.permutation(h.n) % k).tolist()
+    counted = k**r * r > solver._PATTERN_CELLS
+    if not counted:
+        solver._pattern_rows(k, r)  # cached: the search itself calls no _slot_terms
+    with mock.patch.object(solver, "_slot_terms", wraps=solver._slot_terms) as placed:
         found = _CutEvaluator(h, k).local_search(start).tolist()
-    assert counted.called == (r == 7)
+    assert placed.called == counted
     assert found == ref_local_search(as_items(h), h.n, start, k)
     assert cut_size(h, found, k) > cut_size(h, start, k)
 
@@ -335,23 +341,23 @@ def term_row(parts, j, k):
 
 @pytest.mark.parametrize("r, k", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 5), (5, 6)])
 def test_slot_terms_follow_the_per_term_rule(r, k):
-    """Each (slot, edge) cell is row * n + vertex, its row by ``term_row``,
+    """Each (edge, slot) cell is row * n + vertex, its row by ``term_row``,
     on edges that miss 0, 1 and 2 parts (1 and 2 at k = r + 1)."""
     rng = np.random.default_rng(10 * r + k)
     n, e = 12, 80
-    rows = np.array([rng.choice(n, size=r, replace=False) for _ in range(e)]).T
+    rows = np.array([rng.choice(n, size=r, replace=False) for _ in range(e)])
     missing_counts = range(max(k - r, 0), min(2, k - 1) + 1)
-    parts = np.empty((r, e), dtype=np.intp)
+    parts = np.empty((e, r), dtype=np.intp)
     for i in range(e):
         met = rng.choice(k, size=k - int(rng.choice(missing_counts)), replace=False)
-        parts[:, i] = rng.permutation(np.concatenate([met, rng.choice(met, size=r - len(met))]))
-    cells = _slot_terms(rows, parts, np.array([(parts == b).sum(axis=0) for b in range(k)]), n)
-    assert cells.dtype == np.int32 and cells.shape == (r, e)
+        parts[i] = rng.permutation(np.concatenate([met, rng.choice(met, size=r - len(met))]))
+    cells = _slot_terms(rows, parts, k, n)
+    assert cells.dtype == np.int32 and cells.shape == (e, r)
     seen = set()
-    for i, col in enumerate(parts.T.tolist()):
-        seen.add(k - len(set(col)))
+    for i, edge in enumerate(parts.tolist()):
+        seen.add(k - len(set(edge)))
         for j in range(r):
-            assert cells[j, i] == term_row(col, j, k) * n + rows[j, i]
+            assert cells[i, j] == term_row(edge, j, k) * n + rows[i, j]
     assert seen == set(missing_counts)
 
 

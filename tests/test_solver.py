@@ -331,6 +331,17 @@ class TestSolveKCut:
         cut = solve_kcut(h, 4, SamplePlan(trials=20, seed=0))
         assert cut.cut_value == 1
 
+    @pytest.mark.parametrize("k", [12, 13])
+    def test_chain_down_from_a_13_graph(self, k):
+        # the graph of CI's 13-graph step: the chain runs from r = 13 down to
+        # 3, and every k-way search is past the pattern table's bound
+        rng = np.random.default_rng(1)
+        rows = [rng.choice(24, 13, replace=False) for _ in range(40)]
+        h = Hypergraph(13, 24, rows, np.ones(40, dtype=np.int64))
+        cut = solve_kcut(h, k, SamplePlan(trials=2, seed=0))
+        assert cut.surplus >= 0
+        assert _CutEvaluator(h, k).local_search(cut.assignment).tolist() == list(cut.assignment)
+
     def test_out_of_range_k_flags_baseline(self):
         h = gen_random_uniform(5, 8, 0.4, seed=1)
         cut = solve_kcut(h, 2, SamplePlan(trials=5, seed=0))
@@ -367,7 +378,7 @@ class TestSolveKCut:
         with pytest.raises(InputError):
             solve_kcut(gen_complete(2, 4), 3, SamplePlan())
 
-    @pytest.mark.parametrize("trials, seed", [(0, 0), (1, -1)])
+    @pytest.mark.parametrize("trials, seed", [(0, 0), (1, -1), (2.5, 0), (1, 1.5)])
     def test_sample_plan_rejects_bad_values(self, trials, seed):
         with pytest.raises(InputError):
             SamplePlan(trials=trials, seed=seed)
