@@ -69,6 +69,7 @@ def colored_sampling_experiment(
     if not (0.0 < p <= 1.0):
         raise InputError(f"probability must be in (0,1], got {p}")
     _check_reps(reps)
+    SamplePlan(trials=1, seed=seed)  # rejects a non-integer or negative seed, as a solve does
     # (u, v, color) rows need no merge: each names its edge {u, v, color}.
     rows = h.edges[:, [[0, 1, 2], [0, 2, 1], [1, 2, 0]]].reshape(-1, 3)
     mult = np.repeat(h.mult, 3)

@@ -274,12 +274,12 @@ def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:
     sampled[vertex_ids(h, x)] = True
     rest = np.flatnonzero(~sampled)
     relabel = np.cumsum(~sampled) - 1
-    inside = sampled[h.edges]
-    # rows with one sampled vertex; a dot product sums the 3 columns faster than sum(axis=1)
-    one = inside.view(np.uint8) @ np.ones(3, dtype=np.uint8) == 1
-    free = np.extract(~np.compress(one, inside, axis=0), np.compress(one, h.edges, axis=0))
-    pairs = np.take(relabel, free).reshape(-1, 2)
-    return ReducedInstance(rest=rest, pairs=pairs, weights=np.compress(one, h.mult))
+    hit = np.take(sampled, h.columns)  # (3, d): whether each slot's vertex is sampled
+    one = np.flatnonzero(hit.sum(axis=0, dtype=np.uint8) == 1)  # rows with one sampled vertex
+    cols = np.take(h.columns, one, axis=1)
+    # the free pair: (v, w) if u is sampled, (u, w) if v is, (u, v) if w is
+    pairs = np.where(np.take(hit[::2], one, axis=1), cols[1], cols[::2]).T
+    return ReducedInstance(rest=rest, pairs=np.take(relabel, pairs), weights=np.take(h.mult, one))
 
 
 def _sampled_cuts(h: Hypergraph, plan: SamplePlan) -> Iterator[np.ndarray]:

@@ -118,6 +118,11 @@ class TestColoredSampling:
         with pytest.raises(InputError):
             colored_sampling_experiment(h, 0.5, reps=2.5, seed=0)
 
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_rejects_a_seed_seedsequence_refuses(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            colored_sampling_experiment(_graph(), 0.5, reps=2, seed=seed)
+
     def test_csv_shape(self):
         recs = colored_sampling_experiment(_graph(), 0.3, reps=5, seed=2)
         text = records_to_csv(recs)

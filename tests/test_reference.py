@@ -38,6 +38,7 @@ from hypercut import (
     format_hypergraph,
     gen_complete,
     gen_random_linear_3graph,
+    load_hypergraph,
     gen_random_uniform,
     induced_sub,
     local_search_1flip,
@@ -894,3 +895,81 @@ def test_parser_reports_a_value_past_int64_after_the_last_chunk():
     expected = parse_outcome(ref_parse, text)
     assert expected.startswith("edges and multiplicities must be int64 values")
     assert parse_outcome(parse_hypergraph, text) == expected
+
+
+def test_parser_reads_blocks_of_a_few_lines_as_the_reference():
+    """Both reference checks above again, with blocks of a line or a few:
+    block bounds fall between the header and the first edge, inside comment
+    lines and just before "\\r\\n" breaks."""
+    with mock.patch.object(hypergraph, "_BLOCK", 7):
+        test_parser_matches_line_by_line_reference()
+    with mock.patch.object(hypergraph, "_BLOCK", 64):
+        test_parser_scans_long_plain_files_as_the_reference()
+
+
+@settings(max_examples=50, deadline=None)
+@given(texts(), st.integers(1, 12))
+def test_loader_reads_the_bytes_of_a_text_as_the_reference(text, block):
+    """From a block of one line (the header alone) to blocks of a few."""
+    with mock.patch.object(hypergraph, "_BLOCK", block):
+        assert parse_outcome(load_hypergraph, text.encode()) == parse_outcome(ref_parse, text)
+
+
+LONG = "0 1 2\n" * 12_000  # 72,000 bytes: more than one block of the byte scan
+
+
+@pytest.mark.parametrize("preamble", ["# note\n", "\n", "  \t\r\n"])
+def test_parser_skips_a_preamble_longer_than_a_block(preamble):
+    text = preamble * (hypergraph._BLOCK // len(preamble) + 1) + "3 5\n" + LONG
+    assert hypergraph._scan(text) is not None
+    assert parse_hypergraph(text) == parse_hypergraph(text.encode()) == ref_parse(text)
+
+
+@pytest.mark.parametrize("line", ["0 1 x\n", "0 1 +3\n", "0 1 2 # \u00e9\n", "0 1\r2\n", "0 1\n"])
+def test_parser_leaves_a_text_to_the_line_loop_from_a_later_block(line):
+    """The first line that is not plain comes after a block of plain ones."""
+    text = "3 5\n" + LONG + line + GOOD
+    assert hypergraph._scan(text) is None
+    expected = parse_outcome(ref_parse, text)
+    assert parse_outcome(parse_hypergraph, text) == parse_outcome(load_hypergraph, text.encode())
+    assert parse_outcome(parse_hypergraph, text) == expected
+
+
+def test_loader_names_bytes_past_a_block_that_are_not_utf8():
+    data = ("3 5\n" + LONG).encode() + b"0 1 2 # \xff\n"
+    assert parse_outcome(load_hypergraph, data).startswith("input is not UTF-8 text")
+
+
+def test_scan_holds_about_one_block_beside_the_arrays_it_returns():
+    """The traced peak of a scan, less the rows and multiplicities it
+    returns, stays under a fixed bound, and a 4x longer file leaves it as it
+    is: the scan fills its arrays a block at a time."""
+    rows = np.random.default_rng(3).integers(0, 1000, (85_000, 4))
+    body = "".join(f"{a} {b} {c}" + (f" {m % 3}" if m % 3 else "") + "\n"
+                   for a, b, c, m in rows.tolist())
+
+    def excess(data):
+        tracemalloc.start()
+        try:
+            _, _, rows, mult = hypergraph._scan(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - rows.nbytes - mult.nbytes
+
+    short = excess(("3 1000\n" + body).encode())  # about 1 MB
+    assert short < 4 * 2**20
+    assert excess(("3 1000\n" + body * 4).encode()) <= short + 2**16
+
+
+def test_loader_keeps_no_scan_buffer_with_a_graph_of_no_edges():
+    """The scan sizes its arrays by the file's line breaks, and trims them to
+    the edges read, so comment lines leave nothing behind in the graph."""
+    data = ("3 5\n" + "# a comment line\n" * 100_000).encode()
+    tracemalloc.start()
+    try:
+        h = load_hypergraph(data)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert h.m == 0 and kept < 2**16
