@@ -10,7 +10,7 @@ import json
 import sys
 import time
 
-from .errors import CapacityError, InputError, NumericError
+from .errors import CapacityError, InputError, NumericError, integer
 from .experiments import (
     colored_sampling_experiment,
     records_to_csv,
@@ -179,8 +179,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:
-            raise InputError(f"--seed must be >= 0, got {args.seed}")
+        integer("--seed", args.seed)
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -6,15 +6,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, integer
 from .generators import gen_random_3graph
 from .hypergraph import Hypergraph, degree_profile
-from .solver import SamplePlan, child_seeds, solve_kcut
+from .solver import MAX_VERTICES, SamplePlan, child_seeds, solve_kcut
 from .spectral import SymmetricMatrix, adjacency, eigen_decompose
 
 # Largest number of repetitions a study runs; both keep every record in memory.
@@ -40,17 +39,6 @@ class ExperimentRecord:
 RECORD_COLUMNS = tuple(f.name for f in dataclasses.fields(ExperimentRecord))
 
 
-def _check_reps(reps: int) -> None:
-    try:
-        operator.index(reps)
-    except TypeError as exc:
-        raise InputError(f"reps must be an integer: {exc}") from None
-    if reps < 1:
-        raise InputError(f"reps must be >= 1, got {reps}")
-    if reps > MAX_REPS:
-        raise CapacityError(f"{reps} reps exceed the capacity {MAX_REPS}")
-
-
 def colored_sampling_experiment(
     h: Hypergraph,
     p: float,
@@ -61,15 +49,17 @@ def colored_sampling_experiment(
     vertex, sample color classes with probability p, and measure how far the
     sampled pair adjacency B strays from its expectation pA, against the
     concentration threshold t = 20 ln(m) sqrt(max_degree * color_degree_bound)
-    of the colored pair multigraph, whose m is 3 * h.m."""
+    of the colored pair multigraph, whose m is 3 * h.m.  It builds dense
+    n x n matrices, so n is capped as the solver's is."""
     if h.r != 3:
         raise InputError(f"colored sampling needs r=3, got r={h.r}")
     if h.n == 0:
         raise InputError("colored sampling needs a 3-graph with at least one vertex")
+    if h.n > MAX_VERTICES:
+        raise CapacityError(f"{h.n} vertices exceed the experiment's capacity {MAX_VERTICES}")
     if not (0.0 < p <= 1.0):
         raise InputError(f"probability must be in (0,1], got {p}")
-    _check_reps(reps)
-    SamplePlan(trials=1, seed=seed)  # rejects a non-integer or negative seed, as a solve does
+    reps, seed = integer("reps", reps, 1, MAX_REPS), integer("seed", seed)
     # (u, v, color) rows need no merge: each names its edge {u, v, color}.
     rows = h.edges[:, [[0, 1, 2], [0, 2, 1], [1, 2, 0]]].reshape(-1, 3)
     mult = np.repeat(h.mult, 3)
@@ -140,10 +130,10 @@ def surplus_scaling_study(
     ``hypercut solve --k 3`` does (solve_kcut), and record the achieved
     surplus.  ``trials`` is the solver's sampling budget per run; exponent
     fitting is left to post-processing (see fit_loglog_slope)."""
-    if not sizes or min(sizes) < 1:
-        raise InputError(f"sizes must be a nonempty list of integers >= 1, got {sizes}")
-    _check_reps(reps)
-    SamplePlan(trials=trials, seed=seed)  # rejects a bad budget or seed before any draw
+    sizes = [integer("sizes", n, 1) for n in sizes]
+    if not sizes:
+        raise InputError("sizes must be a nonempty list of integers >= 1")
+    reps, seed = integer("reps", reps, 1, MAX_REPS), integer("seed", seed)
     rows: list[ScalingRow] = []
     for i, (n, rep) in enumerate(itertools.product(sizes, range(reps))):
         # the words of SeedSequence(seed)'s i-th spawned child

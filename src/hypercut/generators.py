@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, integer
 from .hypergraph import MAX_IDS, MAX_UNIFORMITY, Hypergraph
 
 # Largest number of potential edges C(n, r) a generator enumerates.
@@ -16,16 +16,14 @@ MAX_CANDIDATES = 10**8
 _DRAW = 1 << 16
 
 
-def _candidates(r: int, n: int) -> int:
-    """C(n, r), once it is known to be within MAX_CANDIDATES."""
-    if r < 2 or n < 0:
-        raise InputError(f"need r >= 2 and n >= 0, got r={r}, n={n}")
-    if r > MAX_UNIFORMITY:  # before C(n, r), which takes ~r big-int steps
-        raise CapacityError(f"uniformity {r} exceeds the capacity {MAX_UNIFORMITY}")
+def _candidates(r: int, n: int) -> tuple[int, int, int]:
+    """r and n as ints, and C(n, r), once it is known to be within MAX_CANDIDATES."""
+    # r is capped before C(n, r), which takes ~r big-int steps
+    r, n = integer("r", r, 2, MAX_UNIFORMITY), integer("n", n)
     total = math.comb(n, r)
     if total > MAX_CANDIDATES:
         raise CapacityError(f"C({n}, {r}) potential edges exceed {MAX_CANDIDATES}")
-    return total
+    return r, n, total
 
 
 def _check_ids(r: int, m: float) -> None:
@@ -68,9 +66,9 @@ def gen_random_uniform(r: int, n: int, p: float, seed: int) -> Hypergraph:
     """
     if not (0.0 <= p <= 1.0):
         raise InputError(f"probability must be in [0,1], got {p}")
-    total = _candidates(r, n)
+    r, n, total = _candidates(r, n)
     _check_ids(r, p * total)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer("seed", seed))
     kept = [np.zeros(0, dtype=np.int64)]
     m = 0
     last = -1  # the rank of the last kept edge, -1 before the first
@@ -113,8 +111,7 @@ def gen_random_linear_3graph(
     (hypergraph, shortfall) where shortfall is True when the target was not
     reached.  Pairs are keyed by the exact Python int u * n + v.
     """
-    if target_m < 0:
-        raise InputError(f"target edge count must be >= 0, got {target_m}")
+    n, target_m = integer("n", n), integer("target_m", target_m)
     if n >= 3 and target_m > n * (n - 1) // 6:
         raise InputError(
             f"target {target_m} exceeds the pair-packing bound {n * (n - 1) // 6}"
@@ -124,7 +121,7 @@ def gen_random_linear_3graph(
     if n >= 2**63 and target_m > 0:
         raise InputError(f"vertex count {n} passes the int64 vertex-id limit 2^63")
     _check_ids(3, target_m)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer("seed", seed))
     used_pairs: set[int] = set()
     edges: list[list[int]] = []
     rejections = 0
@@ -146,8 +143,8 @@ def gen_random_linear_3graph(
 
 
 def gen_complete(r: int, n: int) -> Hypergraph:
+    r, n, total = _candidates(r, n)
     if n < r:
         raise InputError(f"complete {r}-graph needs n >= r, got n={n}")
-    total = _candidates(r, n)
     _check_ids(r, total)
     return _subsets(r, n, np.arange(total))

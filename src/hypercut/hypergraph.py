@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import InputError, integer
 
 MAX_EDGES = 2**53
 # Largest uniformity accepted.  A surplus is exact, with a denominator that
@@ -36,8 +36,7 @@ MAX_UNIFORMITY = 1_000
 
 def stirling2(r: int, k: int) -> int:
     """Number of partitions of an r-set into k nonempty unlabeled parts."""
-    if k < 0 or r < 0:
-        raise InputError("stirling2 needs nonnegative arguments")
+    r, k = integer("r", r), integer("k", k)
     if k == 0:
         return 1 if r == 0 else 0
     # S(r,k) = (1/k!) * sum_j (-1)^j C(k,j) (k-j)^r
@@ -47,8 +46,8 @@ def stirling2(r: int, k: int) -> int:
 
 def random_cut_coefficient(r: int, k: int) -> Fraction:
     """Expected cut fraction of a uniformly random k-partition: S(r,k)*k!/k^r."""
-    if not (2 <= k <= r):
-        raise InputError(f"need 2 <= k <= r, got k={k}, r={r}")
+    k = integer("k", k, 2)
+    r = integer("r", r, k)
     return Fraction(stirling2(r, k) * math.factorial(k), k**r)
 
 
@@ -124,8 +123,9 @@ def _canonicalise(h) -> None:
 class Hypergraph:
     """Immutable r-uniform multi-hypergraph on vertex set [0, n).
 
-    The constructor takes any (d, r) integer rows and d multiplicities,
-    sorts and merges them, and rejects bad input with ``InputError``.
+    The constructor stores r in [2, MAX_UNIFORMITY] and n >= 0 as Python ints
+    (``errors.integer``), sorts and merges any (d, r) integer rows and d
+    multiplicities, and rejects bad input with ``InputError``.
     """
 
     r: int
@@ -134,14 +134,8 @@ class Hypergraph:
     mult: np.ndarray  # (d,) int64, each >= 1
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise InputError(f"uniformity must be >= 2, got {self.r}")
-        if self.r > MAX_UNIFORMITY:
-            raise CapacityError(
-                f"uniformity {self.r} exceeds the capacity {MAX_UNIFORMITY}"
-            )
-        if self.n < 0:
-            raise InputError(f"vertex count must be >= 0, got {self.n}")
+        object.__setattr__(self, "r", integer("r", self.r, 2, MAX_UNIFORMITY))
+        object.__setattr__(self, "n", integer("n", self.n))
         _canonicalise(self)
 
     @classmethod
@@ -215,6 +209,7 @@ class KCut:
     def from_assignment(
         cls, h: Hypergraph, assignment: Sequence[int], k: int, notes: tuple[str, ...] = ()
     ) -> "KCut":
+        k = integer("k", k, 1)
         parts = part_ids(h, assignment, k)
         value = cut_size(h, parts, k)
         coeff = random_cut_coefficient(h.r, k) if 2 <= k <= h.r else Fraction(0)
@@ -289,6 +284,7 @@ def part_ids(h: Hypergraph, assignment: Sequence[int], k: int) -> np.ndarray:
 
 def cut_size(h: Hypergraph, assignment: Sequence[int], k: int) -> int:
     """Number of edges (with multiplicity) meeting all k parts."""
+    k = integer("k", k, 1)
     return int(cut_values(h, part_ids(h, assignment, k), k))
 
 
@@ -302,7 +298,7 @@ def edge_subsets(h: Hypergraph, q: int) -> np.ndarray:
 def underlying_multigraph(h: Hypergraph, q: int) -> Hypergraph:
     """q-uniform multigraph: each q-subset inherits the multiplicity of every
     edge containing it, so the total edge count is C(r, q) * m."""
-    if not (2 <= q < h.r):
+    if not 2 <= (q := integer("q", q)) < h.r:
         raise InputError(f"need 2 <= q < r, got q={q}, r={h.r}")
     subs = edge_subsets(h, q)
     return Hypergraph(q, h.n, subs.reshape(-1, q), np.repeat(h.mult, subs.shape[1]))

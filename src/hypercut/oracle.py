@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, integer
 from .hypergraph import Hypergraph, KCut, chunk_rows, cut_counts, part_masks
 
 CAPACITY = 10**8  # largest number of assignments k^n scanned
@@ -37,8 +37,7 @@ def brute_force_max_kcut(h: Hypergraph, k: int) -> KCut:
     lexicographic order therefore returns the first maximizer in
     lexicographic assignment order, with vertex 0 in part 0.
     """
-    if k < 2:
-        raise InputError(f"need k >= 2, got k={k}")
+    k = integer("k", k, 2)
     if h.n == 0:
         return KCut.from_assignment(h, (), k)
     # k >= 2, so n >= bit_length(CAPACITY) alone implies k^n > CAPACITY;

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integer
 from .spectral import SymmetricMatrix, eigen_decompose, gram_vectors
 
 
@@ -45,10 +45,11 @@ def gaussian_sign_round(
     """Best of ``trials`` Gaussian hyperplane roundings, deterministic in
     ``seed``: an int, or a ``numpy.random.Generator`` drawn from directly.
     An exact-zero inner product (a zero row of z included) gives sign +1."""
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
+    trials = integer("trials", trials, 1)
     if len(z) != a.n:
         raise InputError(f"dimension mismatch: {len(z)} vectors for a {a.n}x{a.n} matrix")
+    if not isinstance(seed, np.random.Generator):
+        seed = integer("seed", seed)
     rng = np.random.default_rng(seed)
     signs = _signs(rng.standard_normal((trials, z.shape[1])) @ z.T)
     values = -0.25 * np.einsum("ti,ti->t", signs @ a.a, signs)

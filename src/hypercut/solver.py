@@ -15,13 +15,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError, NumericError
+from .errors import CapacityError, InputError, NumericError, integer
 from .hypergraph import (
     MAX_EDGES,
     MAX_IDS,
@@ -59,20 +58,15 @@ _BASELINE_NOTE = "baseline-only: k outside the guaranteed range {r-1, r}"
 
 @dataclass(frozen=True)
 class SamplePlan:
+    """A solve's sampling budget: trials in [1, MAX_TRIALS] and a seed >= 0,
+    each read by ``errors.integer`` and stored as a Python int."""
+
     trials: int = 30
     seed: int = 0
 
     def __post_init__(self) -> None:
-        try:  # a float passes the range checks and fails inside SeedSequence
-            operator.index(self.trials), operator.index(self.seed)
-        except TypeError as exc:
-            raise InputError(f"trials and seed must be integers: {exc}") from None
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
-        if self.trials < 1:
-            raise InputError(f"trials must be >= 1, got {self.trials}")
-        if self.trials > MAX_TRIALS:
-            raise CapacityError(f"{self.trials} trials exceed the capacity {MAX_TRIALS}")
+        object.__setattr__(self, "trials", integer("trials", self.trials, 1, MAX_TRIALS))
+        object.__setattr__(self, "seed", integer("seed", self.seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,8 +423,7 @@ def solve_kcut(h: Hypergraph, k: int, plan: SamplePlan) -> KCut:
     checked to have a nonnegative surplus.  For k > r every cut is 0, and the
     all-zero assignment comes back flagged.
     """
-    if k < 2:
-        raise InputError(f"need k >= 2, got k={k}")
+    k = integer("k", k, 2)
     if h.r == 2 and k != 2:
         raise InputError(f"solve_kcut needs r >= 3 unless k = 2, got r=2, k={k}")
     if h.n > MAX_VERTICES:

@@ -6,7 +6,8 @@ conditional-expectation cut by enumeration and by exact per-edge cut
 chances, the line-by-line text parser and writer, the
 one-triple-at-a-time linear packer, the dense adjacency by two
 ``np.add.at`` passes, the quadratic surplus -x.A.x/4 by one dense product,
-and the Edwards bound (sqrt(8m+1) - 1)/8, the r = 2 surplus baseline.
+the Edwards bound (sqrt(8m+1) - 1)/8, the r = 2 surplus baseline, and
+the affine geometry AG(d, 3), a 3-graph with a planted 3-cut.
 Edges are lists of (vertex tuple, multiplicity) pairs.  Three references
 keep numpy for speed: the full k^(n-1) oracle scan, scored by
 ``cut_values`` (pinned to ``ref_cut`` by its own test), the
@@ -288,3 +289,17 @@ def ref_linear_packing(n, target_m, seed):
         used_pairs.update(pairs)
         edges.append(tri)
     return Hypergraph.from_edges(3, n, edges), len(edges) < target_m
+
+
+def affine_lines(d):
+    """AG(d, 3), a Steiner triple system: the points of F_3^d, point i with
+    the base-3 digits of i as its coordinates, and the 3^(d-1) (3^d - 1) / 2
+    lines {a, a + v, a + 2v}, the triples of distinct points that sum to 0.
+    Each pair a < b lies on one line, whose third point is -(a + b); the
+    line is kept from its pair of two lowest points."""
+    place = 3 ** np.arange(d)
+    points = np.arange(3**d)[:, None] // place % 3
+    a, b = np.triu_indices(3**d, 1)
+    c = -(points[a] + points[b]) % 3 @ place
+    low = b < c
+    return Hypergraph(3, 3**d, np.column_stack([a, b, c])[low], np.ones(low.sum(), dtype=np.int64))

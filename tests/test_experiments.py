@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypercut import (
+    CapacityError,
     Hypergraph,
     InputError,
     RECORD_COLUMNS,
@@ -117,6 +118,13 @@ class TestColoredSampling:
             colored_sampling_experiment(h, 0.3, reps=0, seed=0)
         with pytest.raises(InputError):
             colored_sampling_experiment(h, 0.5, reps=2.5, seed=0)
+
+    @pytest.mark.parametrize("n", [10_001, 2**63 - 1])
+    def test_refuses_more_vertices_than_the_solver_before_any_matrix(self, n):
+        # the dense n x n matrices would take 800 MB each at n = 10^4; at
+        # n = 2^63 - 1 the adjacency's cell count once overflowed
+        with pytest.raises(CapacityError, match="capacity"):
+            colored_sampling_experiment(Hypergraph(3, n, [[0, 1, 2]], [1]), 0.5, reps=1, seed=0)
 
     @pytest.mark.parametrize("seed", [1.5, -1])
     def test_rejects_a_seed_seedsequence_refuses(self, seed):

@@ -13,10 +13,14 @@ from hypercut import (
     InputError,
     KCut,
     SamplePlan,
+    SymmetricMatrix,
     brute_force_max_kcut,
+    colored_sampling_experiment,
     cut_size,
     degree_profile,
+    eigen_decompose,
     format_hypergraph,
+    gaussian_sign_round,
     gen_complete,
     gen_random_linear_3graph,
     gen_random_uniform,
@@ -25,10 +29,13 @@ from hypercut import (
     random_cut_coefficient,
     reduce_cut_up,
     sample_and_reduce,
+    solve_kcut,
     stirling2,
+    surplus_scaling_study,
     underlying_multigraph,
 )
 from hypercut import hypergraph
+from hypercut.spectral import gram_vectors
 from conftest import random_multigraph
 
 TRIPLE = Hypergraph.from_edges(3, 3, [(0, 1, 2)])
@@ -304,3 +311,71 @@ class TestUnderlyingCutIdentity:
             sub = underlying_multigraph(h, 3)
             for assign in itertools.product(range(3), repeat=h.n):
                 assert cut_size(sub, assign, 3) == 2 * cut_size(h, assign, 3)
+
+
+# Every public integer parameter, read by errors.integer: (its name, its
+# floor, a value it takes, and a call with the value in its place).
+_H3 = gen_random_uniform(3, 6, 0.5, 0)
+_K4 = SymmetricMatrix.from_pair_graph(gen_complete(2, 4))
+_Z = gram_vectors(eigen_decompose(_K4))
+INTEGER_PARAMETERS = [
+    ("r", 2, 3, lambda v: Hypergraph(v, 4, [[0, 1, 2]], [1])),
+    ("n", 0, 4, lambda v: Hypergraph(3, v, [], [])),
+    ("trials", 1, 2, lambda v: SamplePlan(v, 0)),
+    ("seed", 0, 1, lambda v: SamplePlan(2, v)),
+    ("k", 2, 3, lambda v: solve_kcut(_H3, v, SamplePlan(2, 0))),
+    ("k", 2, 3, lambda v: brute_force_max_kcut(_H3, v)),
+    ("k", 1, 3, lambda v: KCut.from_assignment(_H3, [0, 1, 2] * 2, v)),
+    ("k", 1, 3, lambda v: cut_size(_H3, [0, 1, 2] * 2, v)),
+    ("r", 0, 5, lambda v: stirling2(v, 3)),
+    ("k", 0, 3, lambda v: stirling2(5, v)),
+    ("r", 3, 4, lambda v: random_cut_coefficient(v, 3)),
+    ("k", 2, 3, lambda v: random_cut_coefficient(4, v)),
+    ("q", 2, 3, lambda v: underlying_multigraph(gen_complete(4, 5), v)),
+    ("r", 2, 3, lambda v: gen_random_uniform(v, 10, 0.1, 0)),
+    ("n", 0, 10, lambda v: gen_random_uniform(3, v, 0.1, 0)),
+    ("seed", 0, 1, lambda v: gen_random_uniform(3, 10, 0.1, v)),
+    ("n", 0, 10, lambda v: gen_random_linear_3graph(v, 0, 0)),
+    ("target_m", 0, 5, lambda v: gen_random_linear_3graph(10, v, 0)),
+    ("seed", 0, 1, lambda v: gen_random_linear_3graph(10, 5, v)),
+    ("r", 2, 3, lambda v: gen_complete(v, 5)),
+    ("n", 0, 5, lambda v: gen_complete(3, v)),
+    ("reps", 1, 2, lambda v: colored_sampling_experiment(_H3, 0.5, v, 0)),
+    ("seed", 0, 1, lambda v: colored_sampling_experiment(_H3, 0.5, 2, v)),
+    ("sizes", 1, 9, lambda v: surplus_scaling_study([v], 1, 0, 1)),
+    ("reps", 1, 2, lambda v: surplus_scaling_study([9], v, 0, 1)),
+    ("seed", 0, 1, lambda v: surplus_scaling_study([9], 1, v, 1)),
+    ("trials", 1, 2, lambda v: surplus_scaling_study([9], 1, 0, v)),
+    ("trials", 1, 2, lambda v: gaussian_sign_round(_Z, _K4, v, 0)),
+    ("seed", 0, 1, lambda v: gaussian_sign_round(_Z, _K4, 2, v)),
+]
+_ROW_IDS = [f"{i}-{row[0]}" for i, row in enumerate(INTEGER_PARAMETERS)]
+
+
+@pytest.mark.parametrize("name, floor, good, call", INTEGER_PARAMETERS, ids=_ROW_IDS)
+@pytest.mark.parametrize("bad", [2.5, 3.0, "below the floor"])
+def test_integer_parameters_refuse_floats_and_values_below_their_floor(
+    name, floor, good, call, bad
+):
+    with pytest.raises(InputError, match=rf"\b{name}\b"):
+        call(floor - 1 if bad == "below the floor" else bad)
+
+
+@pytest.mark.parametrize("name, floor, good, call", INTEGER_PARAMETERS, ids=_ROW_IDS)
+def test_integer_parameters_take_numpy_integers(name, floor, good, call):
+    assert call(np.int64(good)) == call(good)
+
+
+def test_numpy_integers_are_stored_as_python_ints():
+    h = Hypergraph(np.int64(3), np.int64(4), [[0, 1, 2]], [1])
+    plan = SamplePlan(np.int64(2), np.uint8(1))
+    cut = KCut.from_assignment(h, [0, 1, 2, 0], np.int32(3))
+    assert {type(x) for x in (h.r, h.n, plan.trials, plan.seed, cut.k)} == {int}
+    # np.int64 arithmetic wraps: S(40, 20) once came out as 2
+    assert stirling2(np.int64(40), 20) == 162_188_909_527_975_750_487_887_236_507_181
+
+
+def test_format_writes_the_vertex_count_as_an_int():
+    with pytest.raises(InputError, match="n must be an integer"):
+        Hypergraph(3, 10.0, [[0, 1, 2]], [1])  # once stored, and written as "3 10.0"
+    assert format_hypergraph(Hypergraph(3, True, [], [])) == "3 1\n"

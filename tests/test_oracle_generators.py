@@ -5,6 +5,7 @@ against."""
 from fractions import Fraction
 
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -102,6 +103,15 @@ class TestOracle:
         h = gen_complete(2, 30)
         with pytest.raises(CapacityError):
             brute_force_max_kcut(h, 2)
+
+    def test_capacity_guard_reads_a_numpy_k_exactly(self):
+        # np.int64(9) ** 20 wraps to a negative int64, so the guard k^n > 10^8
+        # passed a numpy k, and the scan began on all 9^20 assignments
+        h = Hypergraph(9, 20, [range(9)], [1])
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="capacity"):
+            brute_force_max_kcut(h, np.int64(9))
+        assert time.perf_counter() - start < 1.0
 
     def test_rejects_small_k(self):
         h = Hypergraph.from_edges(3, 3, [(0, 1, 2)])

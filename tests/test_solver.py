@@ -31,6 +31,7 @@ from hypercut import (
 )
 from hypercut import solver
 from hypercut.solver import _CutEvaluator, _direct_3cut, child_seeds
+from reference import affine_lines
 
 TRIPLE = Hypergraph.from_edges(3, 3, [(0, 1, 2)])
 
@@ -378,6 +379,15 @@ class TestSolveKCut:
         with pytest.raises(InputError):
             solve_kcut(gen_complete(2, 4), 3, SamplePlan())
 
+    def test_a_numpy_k_solves_as_the_int(self):
+        # k^(r-1) * m = 10^19 * 40 passes int64: a numpy k once wrapped the
+        # exact-table test and S(r, k), for cut 36 and surplus 20.41
+        rng = np.random.default_rng(1)
+        h = Hypergraph(20, 30, [rng.choice(30, 20, replace=False) for _ in range(40)], [1] * 40)
+        cut = solve_kcut(h, np.int64(10), SamplePlan(2, 0))
+        assert cut == solve_kcut(h, 10, SamplePlan(2, 0))
+        assert (type(cut.k), cut.cut_value, round(float(cut.surplus), 2)) == (int, 37, 28.41)
+
     @pytest.mark.parametrize("trials, seed", [(0, 0), (1, -1), (2.5, 0), (1, 1.5)])
     def test_sample_plan_rejects_bad_values(self, trials, seed):
         with pytest.raises(InputError):
@@ -478,3 +488,22 @@ def test_surplus_nonnegative_for_every_k_up_to_r(instance, seed):
     ev = _CutEvaluator(h, k)
     assert cut.cut_value >= ev.value(ev.local_search(ev.expectation_cut()))
     assert cut.surplus >= 0
+
+
+class TestAffineGeometry:
+    """AG(5, 3), 243 points and 9,801 lines, 22 times past the oracle's n:
+    colouring by a linear form cuts every line whose direction the form does
+    not vanish on, 3^8 of them.  That is a lower bound on the optimum, not
+    a claim that it is the optimum."""
+
+    H = affine_lines(5)
+
+    def test_reference_is_a_steiner_triple_system_with_the_planted_cut(self):
+        pairs = underlying_multigraph(self.H, 2)
+        assert (self.H.n, self.H.m) == (243, 9_801)
+        assert len(pairs.mult) == pairs.m == 243 * 242 // 2  # each pair on one line
+        assert cut_size(self.H, np.arange(243) % 3, 3) == 3**8  # the first coordinate
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_solve_reaches_the_planted_cut(self, seed):
+        assert solve_kcut(self.H, 3, SamplePlan(trials=2, seed=seed)).cut_value >= 3**8
