@@ -41,13 +41,14 @@ def _subsets(r: int, n: int, ranks: np.ndarray) -> Hypergraph:
     """
     rest = math.comb(n, r) - 1 - np.asarray(ranks, dtype=np.int64)
     rows = np.empty((len(rest), r), dtype=np.intp)
-    for i in range(r):
+    for i in range(r - 1):
         j = r - i
         # n-1-c_i lies in [j-1, n-r+j-1]; these binomials are at most C(n-1, r)
         table = np.array([math.comb(d, j) for d in range(j - 1, n - r + j)], dtype=np.int64)
         d = np.searchsorted(table, rest, side="right") - 1
         rest -= table[d]
         rows[:, i] = n - r + i - d
+    rows[:, r - 1] = n - 1 - rest  # the last digit's table C(d, 1) = d is 0..n-r: d = rest
     return Hypergraph(r, n, rows, np.ones(len(rows), dtype=np.int64))
 
 

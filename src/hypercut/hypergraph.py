@@ -232,13 +232,13 @@ def chunk_rows(width: int) -> int:
     return max(1, _CELLS // max(width, 1))
 
 
-def part_masks(bits: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """OR over the r slot rows of the (r, d) ``cols`` (``Hypergraph.columns``)
-    of bits[..., row]: per edge, the set of parts its vertices meet, from
-    one-hot part bits, one contiguous row of vertex ids gathered at a time."""
-    seen = np.take(bits, cols[0], axis=-1)
+def part_masks(bits: np.ndarray, cols: np.ndarray, axis: int = -1) -> np.ndarray:
+    """OR over the r slot rows of the (r, d) ``cols`` (``Hypergraph.columns``) of
+    ``bits`` gathered on its vertex ``axis``: per edge, the set of parts its vertices
+    meet, from one-hot part bits, one contiguous row of vertex ids gathered at a time."""
+    seen = np.take(bits, cols[0], axis=axis)
     for row in cols[1:]:
-        seen |= np.take(bits, row, axis=-1)
+        seen |= np.take(bits, row, axis=axis)
     return seen
 
 
@@ -411,7 +411,8 @@ def _scan(data: str | bytes):
             if count[0] != 2 or not 2 <= vals[0] <= MAX_UNIFORMITY:
                 return None
             r, n = int(vals[0]), int(vals[1])
-            cap = min(data.count(b"\n"), (len(data) + 1) // (2 * r))  # edge lines, 2r bytes each
+            breaks = (np.frombuffer(data[i:i + _BLOCK], np.uint8) == 10 for i in range(0, len(data), _BLOCK))
+            cap = min(sum(map(np.count_nonzero, breaks)), (len(data) + 1) // (2 * r))  # edge lines, 2r bytes each
             rows, mult = np.empty((cap, r), dtype=np.int64), np.empty(cap, dtype=np.int64)
             head, count = head[1:], count[1:]
         if not ((count == r) | (count == r + 1)).all():

@@ -89,11 +89,12 @@ class TestOracle:
     def test_scans_one_labelling_per_partition(self, r, n, k):
         # one restricted growth string per partition of the n vertices into
         # at most k blocks, against k^(n-1) labellings with vertex 0 pinned;
-        # each scoring step gets a (heads, tails, edges) block of part masks.
+        # each scoring step gets a (d, heads) and a (d, tails) table of part
+        # masks and scores every head | tail.
         # For k > r every string cuts nothing, and the oracle scores none.
-        with mock.patch.object(oracle, "cut_counts", wraps=oracle.cut_counts) as scored:
+        with mock.patch.object(oracle, "_cut_block", wraps=oracle._cut_block) as scored:
             cut = brute_force_max_kcut(gen_complete(r, n), k)
-        scanned = sum(call.args[1][..., 0].size for call in scored.call_args_list)
+        scanned = sum(call.args[0].shape[1] * call.args[1].shape[1] for call in scored.call_args_list)
         if k > r:
             assert scanned == 0 and cut.assignment == (0,) * n
         else:

@@ -602,6 +602,48 @@ def test_oracle_ties_across_chunked_mask_tables():
     assert built.call_count > 2 * 3 * 2  # several tail chunks for each of 3 tops
 
 
+def _weighted(g, big, rest):
+    """g with multiplicity ``big`` on the edges through vertex 0, ``rest`` on the others."""
+    return Hypergraph(g.r, g.n, g.edges, np.where(g.edges[:, 0] == 0, big, rest))
+
+
+@pytest.mark.parametrize("h, k, weight, acc", [
+    # the narrowest unsigned weight that holds the largest multiplicity
+    (_weighted(gen_complete(3, 7), 255, 2), 3, np.uint8, np.int32),  # weighted in place
+    (_weighted(gen_complete(3, 7), 256, 255), 3, np.uint16, np.int32),
+    (_weighted(gen_complete(4, 8), 65_535, 3), 2, np.uint16, np.int32),
+    (_weighted(gen_complete(4, 8), 65_536, 65_535), 4, np.uint32, np.int32),
+    (_weighted(gen_complete(3, 6), 2**32, 1), 2, np.uint64, np.int64),
+    (_weighted(gen_complete(3, 6), 2**48, 2**40), 3, np.uint64, np.int64),
+    # d * max mult on each side of 2^31: 20 edges of 107,374,182 sum in int32, and
+    # 20 of 119,304,648 in int64, whose best 2-cut (18 edges) passes 2^31
+    (_weighted(gen_complete(3, 6), 107_374_182, 107_374_182), 2, np.uint32, np.int32),
+    (_weighted(gen_complete(3, 6), 119_304_648, 119_304_648), 2, np.uint32, np.int64),
+    (Hypergraph(3, 3, [(0, 1, 2)], [2**31 - 1]), 3, np.uint32, np.int32),
+    (Hypergraph(3, 3, [(0, 1, 2)], [2**31]), 3, np.uint32, np.int64),
+])
+def test_oracle_weights_and_sums_exactly(h, k, weight, acc):
+    """Each edge weight and cut sum in the narrowest exact dtype, against the
+    int64 full scan: a weight or a sum one dtype too narrow would wrap."""
+    with mock.patch.object(oracle, "_cut_block", wraps=oracle._cut_block) as scored:
+        cut = brute_force_max_kcut(h, k)
+    assert (cut.cut_value, cut.assignment) == ref_max_kcut(h, k)
+    assert {(call.args[2].dtype, call.args[4]) for call in scored.call_args_list} == {
+        (np.dtype(weight), acc)}
+
+
+def test_oracle_memory_stays_within_its_chunks():
+    """1,440 strings of 364 edges per step: its blocks stay far below 8 MB."""
+    h = gen_complete(3, 14)
+    tracemalloc.start()
+    try:
+        cut = brute_force_max_kcut(h, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cut.cut_value == cut_size(h, cut.assignment, 3) and peak <= 8 * 2**20
+
+
 @pytest.mark.parametrize("r, n, k", [
     (2, 0, 2), (3, 1, 2), (2, 1, 3),  # n in {0, 1}: no edge
     (5, 3, 4), (4, 2, 9),  # k > n, no edge
