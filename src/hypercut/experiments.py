@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InputError, integer
+from .errors import CapacityError, InputError, integer, reals
 from .generators import gen_random_3graph
 from .hypergraph import Hypergraph, degree_profile
 from .solver import MAX_VERTICES, SamplePlan, child_seeds, solve_kcut
@@ -57,7 +57,7 @@ def colored_sampling_experiment(
         raise InputError("colored sampling needs a 3-graph with at least one vertex")
     if h.n > MAX_VERTICES:
         raise CapacityError(f"{h.n} vertices exceed the experiment's capacity {MAX_VERTICES}")
-    if not (0.0 < p <= 1.0):
+    if not (0.0 < reals("p", p) <= 1.0):
         raise InputError(f"probability must be in (0,1], got {p}")
     reps, seed = integer("reps", reps, 1, MAX_REPS), integer("seed", seed)
     # (u, v, color) rows need no merge: each names its edge {u, v, color}.
@@ -152,7 +152,7 @@ def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
     """Least-squares slope of log(y) against log(x).  Only a fit with a slope
     is answered: every x and y must be finite and positive, and the points
     must hold at least two distinct x values."""
-    xy = np.array(points, dtype=float).reshape(-1, 2)
+    xy = reals("points", points).reshape(-1, 2)
     if not np.all(np.isfinite(xy) & (xy > 0)):
         raise InputError("log-log fit needs finite positive x and y")
     if len(np.unique(xy[:, 0])) < 2:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, InputError, integer
+from .errors import CapacityError, InputError, integer, reals
 from .hypergraph import MAX_IDS, MAX_UNIFORMITY, Hypergraph
 
 # Largest number of potential edges C(n, r) a generator enumerates.
@@ -65,7 +65,7 @@ def gen_random_uniform(r: int, n: int, p: float, seed: int) -> Hypergraph:
     vertex ids of the kept edges are capped, in expectation up front and
     as the kept count grows.
     """
-    if not (0.0 <= p <= 1.0):
+    if not (0.0 <= reals("p", p) <= 1.0):
         raise InputError(f"probability must be in [0,1], got {p}")
     r, n, total = _candidates(r, n)
     _check_ids(r, p * total)

@@ -1,7 +1,9 @@
 """r-uniform multi-hypergraphs, k-cuts, and surplus accounting.
 
 Conventions
-- Vertex ids are dense integers in [0, n).
+- Vertex ids are dense integers in [0, n).  Every integer array taken
+  (edges, multiplicities, part ids, vertex ids) is read by ``errors.integers``,
+  which refuses a float, a string or a value past int64.
 - A hypergraph holds two read-only arrays: ``edges``, one row per distinct
   edge of r *distinct* vertices (each row ascending, rows in lexicographic
   order), and ``mult``, the int64 multiplicity of each row.  The total edge
@@ -9,7 +11,7 @@ Conventions
 - A k-cut is an assignment vector of length n with values in [0, k); its
   size counts edges (with multiplicity) that meet all k parts.
 - Surpluses are exact ``Fraction`` values: cut size minus the random-cut
-  expectation ``S(r,k) * k! / k^r * m``.
+  expectation ``S(r,k) * k! / k^r * m``, which is m at k = 1 and 0 past r.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError, integer
+from .errors import InputError, integer, integers
 
 MAX_EDGES = 2**53
 # Largest uniformity accepted.  A surplus is exact, with a denominator that
@@ -92,12 +93,11 @@ def _merge(rows: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _canonicalise(h) -> None:
-    """Validate ``h.edges`` ((d, r) rows of distinct vertices) and ``h.mult``,
-    then store them sorted and merged."""
-    try:
-        rows, mult = np.asarray(h.edges, dtype=np.int64), np.asarray(h.mult, dtype=np.int64)
-    except (OverflowError, ValueError, TypeError) as exc:
-        raise InputError(f"edges and multiplicities must be int64 values: {exc}") from None
+    """Read ``h.edges`` ((d, r) rows of distinct vertex ids in [0, n)) and
+    ``h.mult`` (d multiplicities in [1, 2^53]) by ``errors.integers``, then
+    store them sorted and merged."""
+    rows = integers("edges", h.edges, 0, h.n)
+    mult = integers("multiplicities", h.mult, 1, MAX_EDGES + 1)
     rows = rows.reshape(0, h.r) if rows.size == 0 else rows
     if rows.ndim != 2 or rows.shape[1] != h.r or mult.shape != (len(rows),):
         raise InputError(f"edges must be rows of {h.r} vertices, one multiplicity each")
@@ -107,10 +107,6 @@ def _canonicalise(h) -> None:
         if (verts[:, 1:] == verts[:, :-1]).any():
             bad = rows[(verts[:, 1:] == verts[:, :-1]).any(axis=1)][0]
             raise InputError(f"edge {tuple(bad.tolist())} repeats a vertex")
-    if len(rows) and (verts[:, 0].min() < 0 or verts[:, -1].max() >= h.n):
-        raise InputError(f"an edge leaves the vertex range [0, {h.n})")
-    if len(mult) and mult.min() < 1:
-        raise InputError(f"multiplicity must be >= 1, got {mult.min()}")
     # The float sum screens out totals that would wrap the exact int64 sum.
     if mult.sum(dtype=np.float64) > 2 * MAX_EDGES or int(mult.sum()) > MAX_EDGES:
         raise InputError(f"total multiplicity exceeds 2^53 = {MAX_EDGES}")
@@ -212,7 +208,8 @@ class KCut:
         k = integer("k", k, 1)
         parts = part_ids(h, assignment, k)
         value = cut_size(h, parts, k)
-        coeff = random_cut_coefficient(h.r, k) if 2 <= k <= h.r else Fraction(0)
+        # S(r, 1) * 1! / 1^r = 1: one part cuts every edge
+        coeff = random_cut_coefficient(h.r, k) if 2 <= k <= h.r else Fraction(k == 1)
         return cls(
             k=k,
             assignment=tuple(parts.tolist()),
@@ -264,21 +261,11 @@ def cut_values(h: Hypergraph, assign: np.ndarray, k: int) -> np.ndarray:
 
 
 def part_ids(h: Hypergraph, assignment: Sequence[int], k: int) -> np.ndarray:
-    """``assignment`` as an (n,) int64 array, refused unless each entry is an
-    integer part id in [0, k).  An integer or bool array is cast as a whole;
-    anything else goes entry by entry through ``operator.index``, so that a
-    float, even an integral one, is refused, not truncated."""
-    try:
-        a = np.asarray(assignment)
-        if a.dtype.kind not in "biu":
-            a = np.fromiter(map(operator.index, a.ravel()), np.int64, a.size).reshape(a.shape)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"part ids must be integers in [0, {k}): {exc}") from None
-    a = a.astype(np.int64, copy=False)
+    """``assignment`` as an (n,) int64 array of integer part ids in [0, k),
+    read by ``errors.integers``."""
+    a = integers("part ids", assignment, 0, k)
     if a.shape != (h.n,):
         raise InputError(f"assignment shape {a.shape} != vertex count ({h.n},)")
-    if h.n and (a.min() < 0 or a.max() >= k):
-        raise InputError(f"part ids {a.min()}..{a.max()} leave the range [0, {k})")
     return a
 
 
@@ -312,17 +299,6 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
     )
 
 
-def vertex_ids(h: Hypergraph, ids: Iterable[int]) -> np.ndarray:
-    """``ids`` as an int64 array, refused unless each is an integer vertex of h."""
-    try:
-        out = np.fromiter(map(operator.index, ids), dtype=np.int64)
-    except (TypeError, OverflowError) as exc:
-        raise InputError(f"vertex ids must be integers in [0, {h.n}): {exc}") from exc
-    if len(out) and (out.min() < 0 or out.max() >= h.n):
-        raise InputError(f"vertex ids leave the range [0, {h.n})")
-    return out
-
-
 def induced_sub(
     h: Hypergraph, vertex_set: Iterable[int]
 ) -> tuple[Hypergraph, tuple[int, ...]]:
@@ -331,7 +307,7 @@ def induced_sub(
     Returns (subgraph, original_ids) where original_ids[i] is the vertex of h
     that became vertex i of the subgraph.
     """
-    keep = np.unique(vertex_ids(h, vertex_set))
+    keep = np.unique(integers("vertex ids", vertex_set, 0, h.n))
     relabel = np.full(h.n, -1, dtype=np.int64)
     relabel[keep] = np.arange(len(keep))
     rows = relabel[h.edges]

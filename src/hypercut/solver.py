@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError, NumericError, integer
+from .errors import CapacityError, InputError, NumericError, integer, integers
 from .hypergraph import (
     MAX_EDGES,
     MAX_IDS,
@@ -32,7 +32,6 @@ from .hypergraph import (
     induced_sub,
     part_ids,
     underlying_multigraph,
-    vertex_ids,
 )
 from .rounding import best_bipartition, bipartition_starts, local_search_1flip_groups
 from .spectral import SymmetricMatrix, adjacency
@@ -265,7 +264,7 @@ def sample_and_reduce(h: Hypergraph, x: Iterable[int]) -> ReducedInstance:
     if h.r != 3:
         raise InputError(f"sampling reduction needs r=3, got r={h.r}")
     sampled = np.zeros(h.n, dtype=bool)
-    sampled[vertex_ids(h, x)] = True
+    sampled[integers("vertex ids", x, 0, h.n)] = True
     rest = np.flatnonzero(~sampled)
     relabel = np.cumsum(~sampled) - 1
     hit = np.take(sampled, h.columns)  # (3, d): whether each slot's vertex is sampled

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, reals
 from .hypergraph import Hypergraph, edge_subsets
 
 # Relative tolerance of the residual check, the negativity margin and the
@@ -34,7 +34,7 @@ class SymmetricMatrix:
     __slots__ = ("a",)
 
     def __init__(self, entries) -> None:
-        a = np.array(entries, dtype=float)
+        a = reals("matrix entries", entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError(f"matrix must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)):

@@ -7,7 +7,7 @@ chances, the line-by-line text parser and writer, the
 one-triple-at-a-time linear packer, the dense adjacency by two
 ``np.add.at`` passes, the quadratic surplus -x.A.x/4 by one dense product,
 the Edwards bound (sqrt(8m+1) - 1)/8, the r = 2 surplus baseline, and
-the affine geometry AG(d, 3), a 3-graph with a planted 3-cut.
+the geometries AG(d, 3) and PG(d, 2), 3-graphs with planted 3-cuts.
 Edges are lists of (vertex tuple, multiplicity) pairs.  Three references
 keep numpy for speed: the full k^(n-1) oracle scan, scored by
 ``cut_values`` (pinned to ``ref_cut`` by its own test), the
@@ -303,3 +303,13 @@ def affine_lines(d):
     c = -(points[a] + points[b]) % 3 @ place
     low = b < c
     return Hypergraph(3, 3**d, np.column_stack([a, b, c])[low], np.ones(low.sum(), dtype=np.int64))
+
+
+def projective_lines(d):
+    """PG(d, 2), the Fano plane at d = 2: the 2^(d+1) - 1 nonzero vectors of
+    F_2^(d+1), vector v as vertex v - 1, and its lines {a, b, a xor b}.  Each
+    pair a < b lies on one line; the line is kept from its two lowest points."""
+    a, b = np.triu_indices(2 ** (d + 1), 1)
+    low = (a > 0) & (b < a ^ b)
+    rows = np.column_stack([a, b, a ^ b])[low] - 1
+    return Hypergraph(3, 2 ** (d + 1) - 1, rows, np.ones(len(rows), dtype=np.int64))

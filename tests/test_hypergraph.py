@@ -19,6 +19,7 @@ from hypercut import (
     cut_size,
     degree_profile,
     eigen_decompose,
+    fit_loglog_slope,
     format_hypergraph,
     gaussian_sign_round,
     gen_complete,
@@ -34,7 +35,7 @@ from hypercut import (
     surplus_scaling_study,
     underlying_multigraph,
 )
-from hypercut import hypergraph
+from hypercut import errors, hypergraph
 from hypercut.spectral import gram_vectors
 from conftest import random_multigraph
 
@@ -113,10 +114,11 @@ class TestCutSize:
 
     def test_integer_part_ids_are_cast_whole(self):
         """An integer or bool array is not converted entry by entry."""
-        with mock.patch.object(hypergraph, "operator") as op:
-            op.index.side_effect = AssertionError("per-entry conversion")
-            for parts in ([0, 1, 2], np.array([0, 1, 2], dtype=np.uint8), (True, False, True)):
-                assert cut_size(TRIPLE, parts, 3) == (parts[2] == 2)
+        for parts in ([0, 1, 2], np.array([0, 1, 2], dtype=np.uint8), (True, False, True)):
+            with mock.patch.object(errors, "operator") as op:
+                op.index.side_effect = AssertionError("per-entry conversion")
+                ids = hypergraph.part_ids(TRIPLE, parts, 3)
+            assert cut_size(TRIPLE, ids, 3) == (parts[2] == 2)
 
     def test_mixed_multiplicities(self):
         h = Hypergraph.from_edges(3, 4, [((0, 1, 2), 3), (0, 1, 3), ((0, 2, 3), 2), (1, 2, 3)])
@@ -136,19 +138,51 @@ PART_ID_READERS = {
     "KCut.from_assignment": lambda parts: KCut.from_assignment(TRIPLE, parts, 3),
     "reduce_cut_up": lambda parts: reduce_cut_up(TRIPLE, parts, SamplePlan(5, 0)),
 }
+# Every integer-array reader (errors.integers): the name it reports, and a
+# call that reads three values in its place.
+ARRAY_READERS = {
+    **{key: ("part ids", read) for key, read in PART_ID_READERS.items()},
+    "Hypergraph-edges": ("edges", lambda ids: Hypergraph(3, 3, [ids], [1])),
+    "Hypergraph-mult": ("multiplicities", lambda mult: Hypergraph(3, 3, [[0, 1, 2]] * 3, mult)),
+    "from_edges": (
+        "multiplicities", lambda mult: Hypergraph.from_edges(3, 3, [((0, 1, 2), m) for m in mult])),
+    "sample_and_reduce": ("vertex ids", lambda ids: sample_and_reduce(TRIPLE, ids)),
+    "induced_sub": ("vertex ids", lambda ids: induced_sub(TRIPLE, ids)),
+}
 
 
-@pytest.mark.parametrize("read", PART_ID_READERS.values(), ids=PART_ID_READERS.keys())
+@pytest.mark.parametrize("name, read", ARRAY_READERS.values(), ids=ARRAY_READERS.keys())
 @pytest.mark.parametrize(
     "parts",
     [[0.5, 1.2, 1.9], [0.0, 1.0, 1.0], np.array([0.0, 1.0, 1.0]), ["0", "1", "1"], [0, 1, 2**70]],
     ids=["fractions", "integral-floats", "float-array", "strings", "past-int64"],
 )
-def test_non_integer_part_ids_are_refused(read, parts):
-    """A part id that is not an integer is refused, not truncated: the
-    fractions would read as the valid [0, 1, 1]."""
-    with pytest.raises(InputError, match="part ids must be integers"):
+def test_non_integer_part_ids_are_refused(name, read, parts):
+    """An id or a multiplicity that is not an integer is refused, not
+    truncated: the fractions would read as the valid [0, 1, 1], or as the
+    edge (0, 1, 1) and multiplicities [0, 1, 1]."""
+    with pytest.raises(InputError, match=f"{name} must be integers"):
         read(parts)
+
+
+def test_integer_arrays_build_the_same_graphs():
+    """Integer arrays of any width, bool arrays and lists of Python ints read
+    alike, and an int64 array is read without a copy."""
+    rows, mult = [[2, 1, 0], [0, 1, 3], [0, 1, 2]], [1, 2, 1]
+    h = Hypergraph(3, 4, rows, mult)
+    assert (h.edges.tolist(), h.mult.tolist()) == ([[0, 1, 2], [0, 1, 3]], [2, 2])
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64, np.int64):
+        assert Hypergraph(3, 4, np.array(rows, dtype=dtype), np.array(mult, dtype=dtype)) == h
+    assert Hypergraph(3, 4, rows, np.array([True, True, True])) == Hypergraph(3, 4, rows, [1, 1, 1])
+    ids = np.array([0, 2, 1])
+    assert errors.integers("ids", ids, 0, 3) is ids
+
+
+@pytest.mark.parametrize("mult", [[2**63], [1, 2**63], [2**64], np.array([2**63], dtype=np.uint64)])
+def test_multiplicities_past_int64_are_refused_not_wrapped(mult):
+    """numpy infers uint64 or float64 for these lists: neither is read."""
+    with pytest.raises(InputError, match="multiplicities must be integers.*too large"):
+        Hypergraph(3, 3, [[0, 1, 2]] * len(mult), mult)
 
 
 @pytest.mark.parametrize("read", PART_ID_READERS.values(), ids=PART_ID_READERS.keys())
@@ -173,6 +207,14 @@ class TestSurplus:
         best = brute_force_max_kcut(k5, 2)
         assert best.cut_value == 6
         assert KCut.from_assignment(k5, best.assignment, 2).surplus == 1
+
+    @pytest.mark.parametrize("k", [1, 4, 2**70])
+    def test_outside_two_to_r_the_formula_gives_zero(self, k):
+        """cut - S(r,k) k!/k^r m: one part cuts all m edges, at coefficient
+        S(r,1) = 1; past r no edge meets k parts, and S(r,k) = 0."""
+        h = gen_complete(3, 5)
+        cut = KCut.from_assignment(h, [0] * 5, k)
+        assert (cut.cut_value, cut.surplus) == (h.m if k == 1 else 0, 0)
 
 
 class TestUnderlyingMultigraph:
@@ -373,6 +415,33 @@ def test_numpy_integers_are_stored_as_python_ints():
     assert {type(x) for x in (h.r, h.n, plan.trials, plan.seed, cut.k)} == {int}
     # np.int64 arithmetic wraps: S(40, 20) once came out as 2
     assert stirling2(np.int64(40), 20) == 162_188_909_527_975_750_487_887_236_507_181
+
+
+# Every real-valued input, read by errors.reals: its name, and a call with a
+# string or None in its place.
+REAL_INPUTS = {
+    "gen_random_uniform": ("p", lambda v: gen_random_uniform(3, 10, v, 0)),
+    "colored_sampling_experiment": ("p", lambda v: colored_sampling_experiment(_H3, v, 1, 0)),
+    "fit_loglog_slope-y": ("points", lambda v: fit_loglog_slope([(1, 2), (2, v)])),
+    "fit_loglog_slope-both-y": ("points", lambda v: fit_loglog_slope([(1, v), (2, v)])),
+    "SymmetricMatrix": ("matrix entries", lambda v: SymmetricMatrix([[0, v], [v, 0]])),
+}
+
+
+@pytest.mark.parametrize("name, call", REAL_INPUTS.values(), ids=REAL_INPUTS.keys())
+@pytest.mark.parametrize("bad", ["0.5", "x", None])
+def test_real_inputs_refuse_strings_and_none(name, call, bad):
+    with pytest.raises(InputError, match=rf"{name} must be real numbers"):
+        call(bad)
+
+
+def test_real_inputs_read_numbers_as_before():
+    entries = [[0, True, Fraction(1, 3)], [1, 0, np.float32(0.1)], [Fraction(1, 3), np.float32(0.1), 2**70]]
+    assert SymmetricMatrix(entries).a.tobytes() == np.array(entries, dtype=float).tobytes()
+    assert gen_random_uniform(3, 6, True, 0) == gen_complete(3, 6)
+    assert gen_random_uniform(3, 9, np.float64(0.5), 1) == gen_random_uniform(3, 9, 0.5, 1)
+    points = [(1, Fraction(3, 2)), (np.int64(2), 3.0), (4, np.float32(6.5))]
+    assert fit_loglog_slope(points) == fit_loglog_slope(np.array(points, dtype=float))
 
 
 def test_format_writes_the_vertex_count_as_an_int():

@@ -31,7 +31,7 @@ from hypercut import (
 )
 from hypercut import solver
 from hypercut.solver import _CutEvaluator, _direct_3cut, child_seeds
-from reference import affine_lines
+from reference import affine_lines, projective_lines
 
 TRIPLE = Hypergraph.from_edges(3, 3, [(0, 1, 2)])
 
@@ -507,3 +507,28 @@ class TestAffineGeometry:
     @pytest.mark.parametrize("seed", range(5))
     def test_solve_reaches_the_planted_cut(self, seed):
         assert solve_kcut(self.H, 3, SamplePlan(trials=2, seed=seed)).cut_value >= 3**8
+
+
+class TestProjectiveGeometry:
+    """PG(d, 2), 2^(d+1) - 1 points: the cut that puts vector v in part 0
+    when its two lowest bits are 01 or 00, 1 when 10 and 2 when 11 cuts
+    4^(d-1) lines.  That is a lower bound on the optimum, not a claim that
+    it is the optimum."""
+
+    @staticmethod
+    def planted(d):
+        return np.array([0, 0, 1, 2])[np.arange(1, 2 ** (d + 1)) & 3]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_reference_is_a_steiner_triple_system_with_the_planted_cut(self, d):
+        h, n = projective_lines(d), 2 ** (d + 1) - 1
+        pairs = underlying_multigraph(h, 2)
+        assert (h.n, h.m) == (n, n * (n - 1) // 6)
+        assert len(pairs.mult) == pairs.m == n * (n - 1) // 2  # each pair on one line
+        assert cut_size(h, self.planted(d), 3) == 4 ** (d - 1)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_solve_reaches_the_planted_cut(self, d, seed):
+        cut = solve_kcut(projective_lines(d), 3, SamplePlan(trials=2, seed=seed))
+        assert cut.cut_value >= 4 ** (d - 1)
